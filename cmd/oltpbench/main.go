@@ -210,8 +210,15 @@ func printSummary(m *core.Manager, elapsed time.Duration, mon *monitor.Monitor) 
 	fmt.Printf("   aborted:   %d   retries: %d   errors: %d   postponed: %d\n",
 		c.Aborted(), c.Retries(), c.Errors(), m.Postponed())
 	fmt.Printf("   latency:   %s\n", c.Global().Snapshot())
-	fmt.Println("   per transaction type:")
 	snap := c.Snapshot()
+	if snap.Response.Count > 0 {
+		// Paced phases: latency above is service time, this is due to end.
+		lag := m.SchedLag()
+		fmt.Printf("   response:  %s\n", snap.Response)
+		fmt.Printf("   pacer:     arrivals released p50 %d us, p99 %d us after they were due; %.1f%% of the schedule spent spinning\n",
+			lag.P50.Microseconds(), lag.P99.Microseconds(), 100*m.PacerSpinFrac())
+	}
+	fmt.Println("   per transaction type:")
 	for i, name := range snap.TypeNames {
 		tl := snap.TypeLat[i]
 		fmt.Printf("     %-24s %9d txns  avg %7.2f ms  p50 %7.2f  p95 %7.2f  p99 %7.2f\n",

@@ -180,7 +180,9 @@ func (l *Loader) load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses every non-test Go file in dir.
+// parseDir parses every non-test Go file in dir that the host platform's
+// build constraints select (internal/core holds one function per platform
+// family).
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -190,6 +192,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !buildableGoFile(name) {
+			continue
+		}
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -241,7 +248,8 @@ func (l *Loader) check(path, dir string, files []*ast.File) *Package {
 // Expand resolves package patterns relative to baseDir into package
 // directories. A pattern ending in "/..." walks recursively; other patterns
 // name a single directory. Directories named testdata or vendor, hidden
-// directories, and directories without buildable Go files are skipped.
+// directories, nested modules, and directories without buildable Go files
+// are skipped.
 func (l *Loader) Expand(patterns []string, baseDir string) ([]string, error) {
 	seen := map[string]bool{}
 	var dirs []string
@@ -279,6 +287,13 @@ func (l *Loader) Expand(patterns []string, baseDir string) ([]string, error) {
 			name := d.Name()
 			if p != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
+			}
+			// A nested module (bench/) is not part of ./..., as for the
+			// go tool: its packages belong to another import-path space.
+			if p != l.ModuleRoot {
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			ok, err := hasBuildableGoFiles(p)
 			if err != nil {

@@ -182,6 +182,19 @@ type StatusResponse struct {
 	// legacy rate limiter governs); Capturing reports an attached capture.
 	Arrival   *ArrivalState `json:"arrival,omitempty"`
 	Capturing bool          `json:"capturing"`
+
+	// ResponseP50MS..P99MS are response-time percentiles (due to end: queue
+	// wait plus service) over the paced transactions, cumulative like
+	// P50MS..P99MS, which are service time (start to end).
+	ResponseP50MS float64 `json:"response_p50_ms"`
+	ResponseP95MS float64 `json:"response_p95_ms"`
+	ResponseP99MS float64 `json:"response_p99_ms"`
+	// SchedLagP50US, SchedLagP99US and PacerSpinFrac are the pacer's
+	// self-report: how late arrivals were released, and the share of the
+	// schedule the producer spent spinning for due times.
+	SchedLagP50US int64   `json:"sched_lag_p50_us"`
+	SchedLagP99US int64   `json:"sched_lag_p99_us"`
+	PacerSpinFrac float64 `json:"pacer_spin_frac"`
 }
 
 // TypeStat is per-transaction-type feedback, cumulative over the run.
@@ -193,6 +206,11 @@ type TypeStat struct {
 	P95MS    float64 `json:"p95_ms"`
 	P99MS    float64 `json:"p99_ms"`
 	MaxMS    float64 `json:"max_ms"`
+
+	// Response-time percentiles of the type's paced transactions.
+	ResponseP50MS float64 `json:"response_p50_ms"`
+	ResponseP95MS float64 `json:"response_p95_ms"`
+	ResponseP99MS float64 `json:"response_p99_ms"`
 }
 
 // ResourcesResponse mirrors the monitoring tool's latest sample.
@@ -257,11 +275,18 @@ func (s *Server) snapshotToResponse(m *core.Manager) StatusResponse {
 		Postponed:  st.Postponed,
 		ElapsedSec: st.Snapshot.Elapsed.Seconds(),
 		Capturing:  st.Capturing,
+
+		ResponseP50MS: msOf(st.Snapshot.Response.P50),
+		ResponseP95MS: msOf(st.Snapshot.Response.P95),
+		ResponseP99MS: msOf(st.Snapshot.Response.P99),
+		SchedLagP50US: st.SchedLag.P50.Microseconds(),
+		SchedLagP99US: st.SchedLag.P99.Microseconds(),
+		PacerSpinFrac: st.PacerSpinFrac,
 	}
 	ar := arrivalStateOf("", st.Arrival, st.EffectiveRate)
 	resp.Arrival = &ar
 	for i, name := range st.Snapshot.TypeNames {
-		tl := st.Snapshot.TypeLat[i]
+		tl, tr := st.Snapshot.TypeLat[i], st.Snapshot.TypeResp[i]
 		resp.TypeStats = append(resp.TypeStats, TypeStat{
 			Name:     name,
 			Count:    st.Snapshot.TypeCounts[i],
@@ -270,6 +295,10 @@ func (s *Server) snapshotToResponse(m *core.Manager) StatusResponse {
 			P95MS:    msOf(tl.P95),
 			P99MS:    msOf(tl.P99),
 			MaxMS:    msOf(tl.Max),
+
+			ResponseP50MS: msOf(tr.P50),
+			ResponseP95MS: msOf(tr.P95),
+			ResponseP99MS: msOf(tr.P99),
 		})
 	}
 	if s.monitor != nil {
@@ -545,6 +574,12 @@ type WindowPoint struct {
 	MaxMS     float64 `json:"max_ms"`
 	Aborted   int64   `json:"aborted"`
 	Committed int64   `json:"committed"`
+
+	// Response-time percentiles (due to end) of the window's paced
+	// transactions; 0 in a window without any.
+	ResponseP50MS float64 `json:"response_p50_ms"`
+	ResponseP95MS float64 `json:"response_p95_ms"`
+	ResponseP99MS float64 `json:"response_p99_ms"`
 }
 
 func pointOf(win stats.Window, dur time.Duration) WindowPoint {
@@ -558,6 +593,10 @@ func pointOf(win stats.Window, dur time.Duration) WindowPoint {
 		MaxMS:     msOf(win.Lat.Max),
 		Aborted:   win.Aborted,
 		Committed: win.Committed,
+
+		ResponseP50MS: msOf(win.Resp.P50),
+		ResponseP95MS: msOf(win.Resp.P95),
+		ResponseP99MS: msOf(win.Resp.P99),
 	}
 }
 

@@ -7,9 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -78,6 +81,18 @@ func TestV1StatusAndList(t *testing.T) {
 		if tst.Count > 50 && (tst.P50MS <= 0 || tst.P99MS < tst.P50MS) {
 			t.Fatalf("type %s percentiles: %+v", tst.Name, tst)
 		}
+		if tst.Count > 50 && tst.ResponseP50MS < tst.P50MS {
+			t.Fatalf("type %s response p50 %v below service p50 %v", tst.Name, tst.ResponseP50MS, tst.P50MS)
+		}
+	}
+	// The workload is paced, so response time (due to end) is known and is
+	// no shorter than service time; the pacer reports on itself.
+	if st.ResponseP50MS < st.P50MS || st.ResponseP95MS < st.ResponseP50MS || st.ResponseP99MS < st.ResponseP95MS {
+		t.Fatalf("response percentiles: p50=%v p95=%v p99=%v against service p50=%v",
+			st.ResponseP50MS, st.ResponseP95MS, st.ResponseP99MS, st.P50MS)
+	}
+	if st.SchedLagP99US < st.SchedLagP50US || st.PacerSpinFrac < 0 || st.PacerSpinFrac > 0.25 {
+		t.Fatalf("pacer report: lag p50=%d p99=%d us, spin %v", st.SchedLagP50US, st.SchedLagP99US, st.PacerSpinFrac)
 	}
 
 	var list WorkloadList
@@ -369,6 +384,9 @@ func TestStreamEndpoint(t *testing.T) {
 	if withData.P95MS < withData.P50MS || len(withData.Types) == 0 {
 		t.Fatalf("window digest: %+v", withData)
 	}
+	if withData.ResponseP50MS < withData.P50MS || withData.ResponseP99MS < withData.ResponseP50MS {
+		t.Fatalf("window response digest: %+v", withData)
+	}
 }
 
 func TestStreamWhilePaused(t *testing.T) {
@@ -493,6 +511,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	if nbuckets != len(stats.DefaultLEBoundsUS)+1 {
 		t.Fatalf("bucket count = %d", nbuckets)
 	}
+	// Every paced commit has a response time, overall and per type.
+	respCount := series[`benchpress_response_seconds_count{workload="w1"}`]
+	respR := series[`benchpress_response_seconds_count{workload="w1",type="R"}`]
+	respW := series[`benchpress_response_seconds_count{workload="w1",type="W"}`]
+	if respCount == 0 || respCount != respR+respW || math.Abs(respCount-count) > 10 {
+		t.Fatalf("response histogram counts %v = %v + %v against %v latencies", respCount, respR, respW, count)
+	}
+	if series[`benchpress_response_seconds_sum{workload="w1"}`] < series[`benchpress_txn_latency_seconds_sum{workload="w1"}`] {
+		t.Fatal("summed response time below summed service time")
+	}
+	for _, name := range []string{"benchpress_sched_lag_p50_us", "benchpress_sched_lag_p99_us", "benchpress_pacer_spin_frac"} {
+		if _, ok := series[name+`{workload="w1"}`]; !ok {
+			t.Fatalf("pacer gauge %s missing", name)
+		}
+	}
 }
 
 // parseProm extracts "name{labels} value" series from exposition text.
@@ -554,5 +587,65 @@ func TestV1CreateWorkload(t *testing.T) {
 	getJSON(t, ts.URL+"/api/v1/workloads", &list)
 	if len(list.Workloads) != 1 || list.Workloads[0].Name != "tenant2" {
 		t.Fatalf("list after create: %+v", list)
+	}
+}
+
+// nopBench does no database work, so a manager pacing it spends its time in
+// the framework.
+type nopBench struct{ apiBench }
+
+func (*nopBench) Procedures() []core.Procedure {
+	return []core.Procedure{{Name: "Nop", Fn: func(*dbdriver.Conn, *rand.Rand) error { return nil }}}
+}
+func (*nopBench) DefaultMix() []float64 { return []float64{100} }
+
+// TestControlPlaneWhilePacing guards the netpoller against the pacer: a
+// producer that spun for its marks would leave nobody polling for the
+// request. Fifty rate POSTs against a manager pacing 20000 tps must come
+// back in under a millisecond at the median and never take 10 ms. A loaded
+// host can spoil one series; a starved netpoller spoils all three.
+func TestControlPlaneWhilePacing(t *testing.T) {
+	db, err := dbdriver.Open("gomvcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := core.Prepare(&nopBench{}, db, 1); err != nil {
+		t.Fatal(err)
+	}
+	const rate = 20000
+	m := core.NewManager(&nopBench{}, db, []core.Phase{{Duration: time.Hour, Rate: rate}}, core.Options{Terminals: 2, Name: "w1"})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go m.Run(ctx)
+	ts := httptest.NewServer(NewServer(nil, m).Handler())
+	defer ts.Close()
+	time.Sleep(100 * time.Millisecond)
+
+	var verdict error
+	for attempt := 0; attempt < 3; attempt++ {
+		took := make([]time.Duration, 50)
+		for i := range took {
+			start := time.Now()
+			resp, data := doReq(t, "POST", ts.URL+"/api/v1/workloads/w1/rate", "application/json", []byte(`{"tps": 20000}`))
+			took[i] = time.Since(start)
+			if resp.StatusCode != 200 {
+				t.Fatalf("set rate: %d %s", resp.StatusCode, data)
+			}
+		}
+		sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+		median, max := took[len(took)/2], took[len(took)-1]
+		t.Logf("rate POST round trip: median %v, max %v", median, max)
+		if verdict = nil; median >= time.Millisecond || max >= 10*time.Millisecond {
+			verdict = fmt.Errorf("rate POST round trip median %v, max %v; want < 1ms and < 10ms", median, max)
+			continue
+		}
+		break
+	}
+	if verdict != nil {
+		t.Fatal(verdict)
+	}
+	if got := float64(m.Collector().Committed()) / m.Status().Snapshot.Elapsed.Seconds(); got < 0.9*rate {
+		t.Fatalf("delivered %.0f tps while serving the control plane, want about %d", got, rate)
 	}
 }

@@ -326,7 +326,7 @@ func benchExecute(b *testing.B, arrival bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.execute(conn, rng, rec, 0, 0)
+		m.execute(conn, rng, rec, 0, 0, unpaced)
 	}
 }
 

@@ -63,7 +63,9 @@ type Manager struct {
 	procs     []Procedure
 	collector *stats.Collector
 
-	queue chan struct{}
+	// queue carries each accepted arrival's due time, in nanoseconds since
+	// start, so the worker that takes it knows how long it waited.
+	queue chan int64
 
 	// Dynamic controls (written by the phase runner and the control API).
 	rateBits    atomic.Uint64 // float64 bits; 0.0 = unlimited
@@ -80,6 +82,12 @@ type Manager struct {
 
 	requested atomic.Int64
 	postponed atomic.Int64
+	// The pacer's self-report: how late each arrival was released (release
+	// minus due), the time the producer spent yield-spinning, and the
+	// schedule time it paced (the sum of the gaps).
+	lag     stats.Histogram
+	spunNS  atomic.Int64
+	pacedNS atomic.Int64
 
 	start time.Time
 	// startNS mirrors start for readers outside the run's goroutines (the
@@ -169,7 +177,7 @@ func NewManager(b Benchmark, db *dbdriver.DB, phases []Phase, opts Options) *Man
 		phases:    phases,
 		procs:     procs,
 		collector: stats.NewCollector(names),
-		queue:     make(chan struct{}, opts.QueueCapacity),
+		queue:     make(chan int64, opts.QueueCapacity),
 		done:      make(chan struct{}),
 		stop:      make(chan struct{}),
 	}
@@ -337,6 +345,22 @@ func (m *Manager) Postponed() int64 { return m.postponed.Load() }
 // Requested returns the number of generated arrivals.
 func (m *Manager) Requested() int64 { return m.requested.Load() }
 
+// SchedLag digests how late the pacer released arrivals: release time minus
+// due time, over every generated arrival. With PacerSpinFrac it says whether
+// a missed rate was the testbed's doing or the DBMS's.
+func (m *Manager) SchedLag() stats.LatencySummary { return m.lag.Snapshot() }
+
+// PacerSpinFrac is the share of the paced schedule the producer spent
+// yield-spinning for a due time (0 before any paced arrival); the pacer's
+// budget keeps it under a quarter.
+func (m *Manager) PacerSpinFrac() float64 {
+	paced := m.pacedNS.Load()
+	if paced == 0 {
+		return 0
+	}
+	return float64(m.spunNS.Load()) / float64(paced)
+}
+
 // applyPhase installs a phase's settings.
 func (m *Manager) applyPhase(i int) {
 	p := m.phases[i]
@@ -363,6 +387,11 @@ func (m *Manager) Run(ctx context.Context) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// The first phase is in force before anything runs, so no attempt is
+	// ever attributed to phase -1.
+	if len(m.phases) > 0 {
+		m.applyPhase(0)
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -381,7 +410,9 @@ func (m *Manager) Run(ctx context.Context) error {
 	var err error
 	stopped := false
 	for i := range m.phases {
-		m.applyPhase(i)
+		if i > 0 {
+			m.applyPhase(i)
+		}
 		select {
 		case <-time.After(m.phases[i].Duration):
 		case <-ctx.Done():
@@ -408,31 +439,25 @@ var errAlreadyStarted = errors.New("core: manager already started")
 // Done is closed when Run returns.
 func (m *Manager) Done() <-chan struct{} { return m.done }
 
-// produce generates arrivals at the target rate and enqueues them,
-// interleaving with uniform or exponential spacing. When the queue is full
-// the arrival is postponed (counted, not queued), so delivered throughput
-// never exceeds the target.
+// produce generates arrivals at the target rate and enqueues each with its
+// due time, interleaving with uniform or exponential spacing. The schedule is
+// arithmetic — every due time is the previous one plus the gap — and the
+// pacer holds each arrival until it is due, so a late wake-up delays an
+// arrival but never shifts the ones after it; after a wake-up that overslept
+// several gaps the loop releases all that are due as one batch, each stamped
+// with its own due time. When the queue is full the arrival is postponed
+// (counted, not queued), so delivered throughput never exceeds the target.
 func (m *Manager) produce(ctx context.Context) {
 	rng := rand.New(rand.NewSource(m.opts.Seed * 7919))
-	next := time.Now()
-	// One reusable timer paces every arrival; at thousands of arrivals per
-	// second, a per-gap time.After would allocate a timer (and leak it
-	// until expiry) for each one.
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	sleep := func(d time.Duration) bool {
-		timer.Reset(d)
-		select {
-		case <-timer.C:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	for {
-		if ctx.Err() != nil {
-			return
-		}
+	var pace pacer
+	// next is the due time of the arrival being generated, in nanoseconds
+	// since m.start.
+	next := time.Since(m.start)
+	// The idle poll needs no precision and must not hold a P the closed-loop
+	// workers could use, so it sleeps on a runtime timer.
+	idle := time.NewTimer(time.Hour)
+	defer idle.Stop()
+	for ctx.Err() == nil {
 		// An installed open-loop process overrides the closed-loop controls:
 		// its instantaneous rate is a deterministic function of elapsed run
 		// time (Poisson/uniform/burst × diurnal shape × amplification).
@@ -449,31 +474,39 @@ func (m *Manager) produce(ctx context.Context) {
 			// Unlimited phases bypass the queue entirely (workers run
 			// closed-loop at full speed); while paused — or inside a burst
 			// process's off window — no arrivals are generated.
-			if !sleep(time.Millisecond) {
+			idle.Reset(time.Millisecond)
+			select {
+			case <-idle.C:
+			case <-ctx.Done():
 				return
 			}
-			next = time.Now()
+			next = time.Since(m.start)
 			continue
 		}
-		var gap time.Duration
+		// mean is the spacing at this rate, and the gap itself for uniform
+		// arrivals; a Poisson gap is an exponential draw around it.
+		mean := time.Duration(float64(time.Second) / rate)
+		gap := mean
 		if poisson {
 			gap = time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-		} else {
-			gap = time.Duration(float64(time.Second) / rate)
 		}
-		next = next.Add(gap)
-		now := time.Now()
-		if wait := next.Sub(now); wait > 0 {
-			if !sleep(wait) {
+		next += gap
+		now := time.Since(m.start)
+		if next > now {
+			var ok bool
+			if now, ok = pace.wait(ctx, m.start, next, mean); !ok {
 				return
 			}
-		} else if now.Sub(next) > time.Second {
+			m.spunNS.Store(int64(pace.spun))
+		} else if now-next > time.Second {
 			// Cap catch-up bursts at one second of backlog.
-			next = now.Add(-time.Second)
+			next = now - time.Second
 		}
+		m.pacedNS.Add(int64(gap))
+		m.lag.Record(now - next)
 		m.requested.Add(1)
 		select {
-		case m.queue <- struct{}{}:
+		case m.queue <- int64(next):
 		default:
 			m.postponed.Add(1)
 		}
@@ -505,10 +538,11 @@ func (m *Manager) work(ctx context.Context, id int) {
 			return
 		}
 		m.waitIfPaused(ctx)
+		due := unpaced
 		if m.paced() {
 			timer.Reset(50 * time.Millisecond)
 			select {
-			case <-m.queue:
+			case due = <-m.queue:
 				if !timer.Stop() {
 					<-timer.C
 				}
@@ -524,7 +558,7 @@ func (m *Manager) work(ctx context.Context, id int) {
 			return
 		}
 		typeIdx := m.mix.Load().sample(rng)
-		m.execute(conn, rng, rec, typeIdx, id)
+		m.execute(conn, rng, rec, typeIdx, id, due)
 		if think := time.Duration(m.thinkNS.Load()); think > 0 {
 			timer.Reset(think)
 			select {
@@ -536,10 +570,16 @@ func (m *Manager) work(ctx context.Context, id int) {
 	}
 }
 
+// unpaced is the due time of a transaction no arrival asked for: a worker
+// running closed-loop in an unlimited phase.
+const unpaced int64 = -1
+
 // execute runs one transaction with retry-on-conflict, recording statistics
 // (through the worker's shard handle), trace entries, and — in capture
-// mode — the attempt observation with sampled statement parameters.
-func (m *Manager) execute(conn *dbdriver.Conn, rng *rand.Rand, rec stats.Recorder, typeIdx, workerID int) {
+// mode — the attempt observation with sampled statement parameters. due is
+// the arrival's due time in nanoseconds since m.start, or unpaced; a paced
+// transaction also records its response time, due to end.
+func (m *Manager) execute(conn *dbdriver.Conn, rng *rand.Rand, rec stats.Recorder, typeIdx, workerID int, due int64) {
 	proc := &m.procs[typeIdx]
 	box := m.capture.Load()
 	var argVals []any
@@ -579,7 +619,13 @@ func (m *Manager) execute(conn *dbdriver.Conn, rng *rand.Rand, rec stats.Recorde
 		break
 	}
 	latency := time.Since(start)
-	rec.Record(typeIdx, status, latency)
+	var queued time.Duration
+	if due == unpaced {
+		rec.Record(typeIdx, status, latency)
+	} else {
+		queued = start.Sub(m.start) - time.Duration(due)
+		rec.RecordPaced(typeIdx, status, latency, queued+latency)
+	}
 	if m.opts.Trace != nil || box != nil {
 		st := "ok"
 		switch status {
@@ -591,6 +637,7 @@ func (m *Manager) execute(conn *dbdriver.Conn, rng *rand.Rand, rec stats.Recorde
 		e := trace.Entry{
 			StartUS:   start.Sub(m.start).Microseconds(),
 			LatencyUS: latency.Microseconds(),
+			QueueUS:   queued.Microseconds(),
 			Type:      proc.Name,
 			Phase:     m.PhaseIndex(),
 			Status:    st,
@@ -646,6 +693,10 @@ type Status struct {
 	Arrival       ArrivalSpec
 	EffectiveRate float64
 	Capturing     bool
+	// SchedLag and PacerSpinFrac are the pacer's self-report (see the
+	// methods of the same names).
+	SchedLag      stats.LatencySummary
+	PacerSpinFrac float64
 	Snapshot      stats.Snapshot
 }
 
@@ -666,6 +717,8 @@ func (m *Manager) Status() Status {
 		Arrival:       m.Arrival(),
 		EffectiveRate: m.EffectiveRate(),
 		Capturing:     m.Capturing(),
+		SchedLag:      m.SchedLag(),
+		PacerSpinFrac: m.PacerSpinFrac(),
 		Snapshot:      m.collector.Snapshot(),
 	}
 }

@@ -44,6 +44,10 @@ type Window struct {
 	TypeLat []LatencySummary
 	// Lat digests committed latency across all types within the window.
 	Lat LatencySummary
+	// Resp digests the response time (due to end: queue wait plus service)
+	// of the window's committed paced transactions across all types; zero
+	// in a window without paced arrivals.
+	Resp LatencySummary
 }
 
 // TPS returns the committed throughput of the window given its duration.
@@ -74,18 +78,16 @@ var nshards = func() int {
 	return p
 }()
 
-// latCell is one shard's latency histogram for one transaction type: fixed
-// log buckets plus exact sum and max, all monotonic. A worker records into
-// its own shard's cells, so the adds never contend and take no lock; window
-// rotation and the cumulative accessors merge cells across shards.
-type latCell struct {
+// latHist is one fixed-log-bucket histogram with exact sum and max, all
+// monotonic.
+type latHist struct {
 	counts []atomic.Int64 // nBuckets, sliced from the shard's backing array
 	sum    atomic.Int64
 	max    atomic.Int64
 }
 
-// record adds one observation to the cell.
-func (l *latCell) record(us int64) {
+// record adds one observation.
+func (l *latHist) record(us int64) {
 	l.counts[bucketFor(us)].Add(1)
 	l.sum.Add(us)
 	for {
@@ -94,6 +96,27 @@ func (l *latCell) record(us int64) {
 			return
 		}
 	}
+}
+
+// addTo folds the histogram into hs.
+func (l *latHist) addTo(hs *HistSnapshot) {
+	for b := range hs.Counts {
+		hs.Counts[b] += l.counts[b].Load()
+	}
+	hs.SumUS += l.sum.Load()
+	if m := l.max.Load(); m > hs.MaxUS {
+		hs.MaxUS = m
+	}
+}
+
+// latCell is one shard's latency record for one transaction type: service
+// time (start to end) of every committed transaction, and response time
+// (due to end) of the paced ones. A worker records into its own shard's
+// cells, so the adds never contend and take no lock; window rotation and
+// the cumulative accessors merge cells across shards.
+type latCell struct {
+	latHist
+	resp latHist
 }
 
 // shard is one recording cell. Its counters are monotonic totals, never
@@ -153,12 +176,16 @@ type Collector struct {
 	// Histogram rotation state, guarded by mu. histBase holds per-type
 	// cumulative bucket counts at the start of the live window; latSumBase
 	// the matching per-type latency sums. curBuf/deltaBuf/allBuf are
-	// reusable scratch so rotation allocates only the per-window summaries.
+	// reusable scratch so rotation allocates little beyond the per-window
+	// summaries.
 	histBase   [][]int64
 	latSumBase []int64
 	curBuf     []int64
 	deltaBuf   []int64
 	allBuf     []int64
+	// respBase is the all-types cumulative response histogram at the start
+	// of the live window (windows digest response time across types only).
+	respBase HistSnapshot
 
 	// subs are window-completion listeners (SSE streams). Signaled with a
 	// non-blocking send after rotation appends windows, so a slow subscriber
@@ -188,9 +215,10 @@ func NewCollectorWindow(types []string, window time.Duration) *Collector {
 		s := &c.shards[i]
 		s.perType = make([]atomic.Int64, len(types), len(types)+padSlots)
 		s.lat = make([]latCell, len(types))
-		backing := make([]atomic.Int64, len(types)*nBuckets)
+		backing := make([]atomic.Int64, 2*len(types)*nBuckets)
 		for t := range s.lat {
-			s.lat[t].counts = backing[t*nBuckets : (t+1)*nBuckets : (t+1)*nBuckets]
+			s.lat[t].counts = backing[2*t*nBuckets : (2*t+1)*nBuckets : (2*t+1)*nBuckets]
+			s.lat[t].resp.counts = backing[(2*t+1)*nBuckets : (2*t+2)*nBuckets : (2*t+2)*nBuckets]
 		}
 	}
 	c.base.perType = make([]int64, len(types))
@@ -202,6 +230,7 @@ func NewCollectorWindow(types []string, window time.Duration) *Collector {
 	c.curBuf = make([]int64, nBuckets)
 	c.deltaBuf = make([]int64, nBuckets)
 	c.allBuf = make([]int64, nBuckets)
+	c.respBase = HistSnapshot{Counts: make([]int64, nBuckets)}
 	return c
 }
 
@@ -291,6 +320,12 @@ func (c *Collector) advance(idx int) {
 		c.latSumBase[t] = curSum
 	}
 	w.Lat = HistSnapshot{Counts: c.allBuf, SumUS: allSum}.Summary()
+	resp := c.GlobalResponseSnapshot()
+	for b, n := range resp.Counts {
+		c.deltaBuf[b] = n - c.respBase.Counts[b]
+	}
+	w.Resp = HistSnapshot{Counts: c.deltaBuf, SumUS: resp.SumUS - c.respBase.SumUS}.Summary()
+	c.respBase = resp
 	c.history = append(c.history, w)
 	c.base = cur
 	for g := live + 1; g < idx; g++ {
@@ -364,7 +399,7 @@ var (
 // id should use a Recorder handle instead.
 func (c *Collector) Record(typeIdx int, status Status, latency time.Duration) {
 	id := shardIDs.Get().(*int)
-	c.record(&c.shards[*id], typeIdx, status, latency)
+	c.record(&c.shards[*id], typeIdx, status, latency, -1)
 	shardIDs.Put(id)
 }
 
@@ -385,10 +420,18 @@ func (c *Collector) Recorder(worker int) Recorder {
 
 // Record notes one transaction attempt outcome on the worker's shard.
 func (r Recorder) Record(typeIdx int, status Status, latency time.Duration) {
-	r.c.record(r.s, typeIdx, status, latency)
+	r.c.record(r.s, typeIdx, status, latency, -1)
 }
 
-func (c *Collector) record(s *shard, typeIdx int, status Status, latency time.Duration) {
+// RecordPaced is Record for a transaction an arrival asked for: latency is
+// its service time as in Record, response the time from when the arrival
+// was due to the transaction's end (queue wait plus service).
+func (r Recorder) RecordPaced(typeIdx int, status Status, latency, response time.Duration) {
+	r.c.record(r.s, typeIdx, status, latency, max(response, 0))
+}
+
+// record notes one outcome; a negative response marks an unpaced one.
+func (c *Collector) record(s *shard, typeIdx int, status Status, latency, response time.Duration) {
 	idx := c.windowIndex(c.now())
 	if int64(idx) > c.liveIdx.Load() {
 		// First record of a new window: rotate. Once per window per worker
@@ -405,6 +448,9 @@ func (c *Collector) record(s *shard, typeIdx int, status Status, latency time.Du
 		if typeIdx >= 0 && typeIdx < len(s.perType) {
 			s.perType[typeIdx].Add(1)
 			s.lat[typeIdx].record(us)
+			if response >= 0 {
+				s.lat[typeIdx].resp.record(response.Microseconds())
+			}
 		}
 	case StatusAborted:
 		s.aborted.Add(1)
@@ -451,44 +497,49 @@ func (c *Collector) Retries() int64 {
 	return n
 }
 
-// TypeHistSnapshot merges the shards' cumulative bucket counts for one
-// transaction type. It takes no lock: the counters are monotonic, so the
-// copy is a consistent-enough point-in-time view for reporting.
-func (c *Collector) TypeHistSnapshot(i int) HistSnapshot {
+// typeHist merges the shards' cumulative buckets for one transaction type:
+// its service-time histogram, or with resp its response-time one. It takes
+// no lock: the counters are monotonic, so the copy is a consistent-enough
+// point-in-time view for reporting.
+func (c *Collector) typeHist(i int, resp bool) HistSnapshot {
 	hs := HistSnapshot{Counts: make([]int64, nBuckets)}
 	if i < 0 || i >= len(c.types) {
 		return hs
 	}
 	for si := range c.shards {
 		cell := &c.shards[si].lat[i]
-		for b := range hs.Counts {
-			hs.Counts[b] += cell.counts[b].Load()
-		}
-		hs.SumUS += cell.sum.Load()
-		if m := cell.max.Load(); m > hs.MaxUS {
-			hs.MaxUS = m
+		if resp {
+			cell.resp.addTo(&hs)
+		} else {
+			cell.addTo(&hs)
 		}
 	}
 	return hs
 }
 
-// GlobalHistSnapshot merges every type's cumulative buckets.
-func (c *Collector) GlobalHistSnapshot() HistSnapshot {
+// globalHist merges every type's cumulative buckets.
+func (c *Collector) globalHist(resp bool) HistSnapshot {
 	hs := HistSnapshot{Counts: make([]int64, nBuckets)}
-	for si := range c.shards {
-		for t := range c.types {
-			cell := &c.shards[si].lat[t]
-			for b := range hs.Counts {
-				hs.Counts[b] += cell.counts[b].Load()
-			}
-			hs.SumUS += cell.sum.Load()
-			if m := cell.max.Load(); m > hs.MaxUS {
-				hs.MaxUS = m
-			}
-		}
+	for t := range c.types {
+		hs.Merge(c.typeHist(t, resp))
 	}
 	return hs
 }
+
+// TypeHistSnapshot merges the shards' cumulative service-time buckets for
+// one transaction type.
+func (c *Collector) TypeHistSnapshot(i int) HistSnapshot { return c.typeHist(i, false) }
+
+// GlobalHistSnapshot merges every type's cumulative service-time buckets.
+func (c *Collector) GlobalHistSnapshot() HistSnapshot { return c.globalHist(false) }
+
+// TypeResponseSnapshot merges the shards' cumulative response-time buckets
+// (due to end, paced transactions only) for one transaction type.
+func (c *Collector) TypeResponseSnapshot(i int) HistSnapshot { return c.typeHist(i, true) }
+
+// GlobalResponseSnapshot merges every type's cumulative response-time
+// buckets.
+func (c *Collector) GlobalResponseSnapshot() HistSnapshot { return c.globalHist(true) }
 
 // TypeSummary digests one type's cumulative latency distribution.
 func (c *Collector) TypeSummary(i int) LatencySummary { return c.TypeHistSnapshot(i).Summary() }
@@ -557,6 +608,11 @@ type Snapshot struct {
 	TypeLat []LatencySummary
 	// Latency is the cumulative all-types latency digest.
 	Latency LatencySummary
+	// Response and TypeResp are the response-time (due to end) counterparts
+	// of Latency and TypeLat over the paced transactions; zero for a run
+	// that was never paced.
+	Response LatencySummary
+	TypeResp []LatencySummary
 	// Totals.
 	Committed, Aborted, Errors, Retries int64
 }
@@ -580,7 +636,6 @@ func (c *Collector) Snapshot() Snapshot {
 		AvgLatency:   last.AvgLatency(),
 		WindowLat:    last.Lat,
 		TypeNames:    c.types,
-		Latency:      c.GlobalSummary(),
 		Committed:    c.Committed(),
 		Aborted:      c.Aborted(),
 		Errors:       c.Errors(),
@@ -589,11 +644,21 @@ func (c *Collector) Snapshot() Snapshot {
 	s.TypeLatency = make([]time.Duration, len(c.types))
 	s.TypeCounts = make([]int64, len(c.types))
 	s.TypeLat = make([]LatencySummary, len(c.types))
+	s.TypeResp = make([]LatencySummary, len(c.types))
+	// One pass over the shards per type; the all-types digests come from
+	// merging the per-type copies.
+	var all, allResp HistSnapshot
 	for i := range c.types {
-		ts := c.TypeSummary(i)
+		h, r := c.typeHist(i, false), c.typeHist(i, true)
+		ts := h.Summary()
 		s.TypeLat[i] = ts
 		s.TypeLatency[i] = ts.Mean
 		s.TypeCounts[i] = ts.Count
+		s.TypeResp[i] = r.Summary()
+		all.Merge(h)
+		allResp.Merge(r)
 	}
+	s.Latency = all.Summary()
+	s.Response = allResp.Summary()
 	return s
 }

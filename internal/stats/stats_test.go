@@ -347,3 +347,50 @@ func TestLatencySummaryString(t *testing.T) {
 		t.Fatal("empty summary string")
 	}
 }
+
+// TestResponseTime: RecordPaced keeps response time (due to end) beside
+// service time, per type, cumulatively and per window; Record leaves it
+// untouched, so an unpaced run reports none.
+func TestResponseTime(t *testing.T) {
+	c := NewCollectorWindow([]string{"a", "b"}, 20*time.Millisecond)
+	rec := c.Recorder(0)
+	for i := 0; i < 100; i++ {
+		rec.RecordPaced(0, StatusOK, 2*time.Millisecond, 10*time.Millisecond)
+		rec.Record(1, StatusOK, 3*time.Millisecond) // closed loop: no arrival, no response time
+	}
+	rec.RecordPaced(0, StatusAborted, time.Millisecond, 5*time.Millisecond) // only commits are timed
+	time.Sleep(25 * time.Millisecond)
+	for i := 0; i < 40; i++ {
+		rec.RecordPaced(1, StatusOK, 3*time.Millisecond, 50*time.Millisecond)
+	}
+	time.Sleep(25 * time.Millisecond)
+
+	s := c.Snapshot()
+	near := func(got, want time.Duration) bool { return got >= want*95/100 && got <= want*105/100 }
+	if s.Latency.Count != 240 || s.Response.Count != 140 {
+		t.Fatalf("counts: %d latencies, %d responses", s.Latency.Count, s.Response.Count)
+	}
+	if s.TypeResp[0].Count != 100 || !near(s.TypeResp[0].P50, 10*time.Millisecond) {
+		t.Fatalf("type a response = %v", s.TypeResp[0])
+	}
+	if s.TypeResp[1].Count != 40 || !near(s.TypeResp[1].P50, 50*time.Millisecond) {
+		t.Fatalf("type b response = %v", s.TypeResp[1])
+	}
+	if !near(s.TypeLat[0].P50, 2*time.Millisecond) || !near(s.Response.Max, 50*time.Millisecond) {
+		t.Fatalf("service p50 %v, response max %v", s.TypeLat[0].P50, s.Response.Max)
+	}
+	if got := c.GlobalResponseSnapshot().Summary(); got != s.Response {
+		t.Fatalf("GlobalResponseSnapshot %v != snapshot %v", got, s.Response)
+	}
+	// Windows hold deltas: the first saw only the 10 ms responses, the one
+	// with the second batch only the 50 ms ones.
+	ws := c.Windows()
+	if ws[0].Resp.Count != 100 || !near(ws[0].Resp.P99, 10*time.Millisecond) {
+		t.Fatalf("window 0 response = %v", ws[0].Resp)
+	}
+	for _, w := range ws[1:] {
+		if w.Resp.Count > 0 && (w.Resp.Count != 40 || !near(w.Resp.P50, 50*time.Millisecond)) {
+			t.Fatalf("window %d response = %v", w.Index, w.Resp)
+		}
+	}
+}

@@ -17,9 +17,11 @@ import (
 
 // Entry is one transaction attempt.
 type Entry struct {
-	// StartUS is the start offset in microseconds since the run began.
+	// StartUS is the offset, in microseconds since the run began, at which
+	// a worker started serving the transaction.
 	StartUS int64
-	// LatencyUS is the attempt latency in microseconds.
+	// LatencyUS is the service time in microseconds: start to end,
+	// including retried attempts and their back-off.
 	LatencyUS int64
 	// Type is the transaction type name.
 	Type string
@@ -34,6 +36,12 @@ type Entry struct {
 	// whitespace-free field. Empty on unsampled attempts; written as an
 	// optional seventh column so old traces stay readable.
 	Params string
+	// QueueUS is how long the arrival waited for a worker: service start
+	// minus the time the arrival was due, in microseconds. The transaction
+	// was due at StartUS - QueueUS and its response time is QueueUS +
+	// LatencyUS. Zero in unlimited phases, which have no arrivals. Written
+	// as an optional eighth column after Params ("-" when there are none).
+	QueueUS int64
 }
 
 // maxParamDigest caps the rendered parameter digest so a pathological
@@ -91,21 +99,28 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, 1<<16), out: w}
 }
 
+// noParams stands for an empty parameter digest when a later column follows.
+const noParams = "-"
+
 // Add appends one entry. Entries with a parameter digest carry it as a
-// seventh column; the digest itself is whitespace-free by construction.
+// seventh column (the digest is whitespace-free by construction), entries
+// with a queue wait carry that as an eighth.
 func (w *Writer) Add(e Entry) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.n++
-	var err error
-	if e.Params == "" {
-		_, err = fmt.Fprintf(w.bw, "%d %d %s %d %s %d\n",
-			e.StartUS, e.LatencyUS, e.Type, e.Phase, e.Status, e.Worker)
-	} else {
-		_, err = fmt.Fprintf(w.bw, "%d %d %s %d %s %d %s\n",
-			e.StartUS, e.LatencyUS, e.Type, e.Phase, e.Status, e.Worker, e.Params)
+	fmt.Fprintf(w.bw, "%d %d %s %d %s %d", e.StartUS, e.LatencyUS, e.Type, e.Phase, e.Status, e.Worker)
+	switch {
+	case e.QueueUS != 0 && e.Params == "":
+		fmt.Fprintf(w.bw, " %s %d", noParams, e.QueueUS)
+	case e.QueueUS != 0:
+		fmt.Fprintf(w.bw, " %s %d", e.Params, e.QueueUS)
+	case e.Params != "":
+		fmt.Fprintf(w.bw, " %s", e.Params)
 	}
-	return err
+	// A bufio.Writer keeps its first error and returns it from every later
+	// write, so the last one reports them all.
+	return w.bw.WriteByte('\n')
 }
 
 // Len returns the number of entries written.
@@ -135,8 +150,8 @@ func Read(r io.Reader) ([]Entry, error) {
 			continue
 		}
 		f := strings.Fields(text)
-		if len(f) != 6 && len(f) != 7 {
-			return nil, fmt.Errorf("trace: line %d: want 6 or 7 fields, got %d", line, len(f))
+		if len(f) < 6 || len(f) > 8 {
+			return nil, fmt.Errorf("trace: line %d: want 6 to 8 fields, got %d", line, len(f))
 		}
 		start, err1 := strconv.ParseInt(f[0], 10, 64)
 		lat, err2 := strconv.ParseInt(f[1], 10, 64)
@@ -149,8 +164,13 @@ func Read(r io.Reader) ([]Entry, error) {
 			StartUS: start, LatencyUS: lat, Type: f[2],
 			Phase: phase, Status: f[4], Worker: worker,
 		}
-		if len(f) == 7 {
+		if len(f) >= 7 && f[6] != noParams {
 			e.Params = f[6]
+		}
+		if len(f) == 8 {
+			if e.QueueUS, err1 = strconv.ParseInt(f[7], 10, 64); err1 != nil {
+				return nil, fmt.Errorf("trace: line %d: malformed", line)
+			}
 		}
 		out = append(out, e)
 	}

@@ -16,13 +16,17 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		{StartUS: 2000, LatencyUS: 900, Type: "Payment", Phase: 0, Status: "ok", Worker: 2},
 		{StartUS: 1_100_000, LatencyUS: 100, Type: "NewOrder", Phase: 1, Status: "abort", Worker: 1},
 		{StartUS: 1_200_000, LatencyUS: 50, Type: "Delivery", Phase: 1, Status: "error", Worker: 3},
+		// The optional columns: parameters alone, queue wait alone, both.
+		{StartUS: 1_300_000, LatencyUS: 70, Type: "Payment", Phase: 1, Status: "ok", Worker: 2, Params: "7,abc"},
+		{StartUS: 1_400_000, LatencyUS: 80, Type: "Payment", Phase: 1, Status: "ok", Worker: 2, QueueUS: 35},
+		{StartUS: 1_500_000, LatencyUS: 90, Type: "Payment", Phase: 1, Status: "ok", Worker: 2, Params: "9", QueueUS: 1200},
 	}
 	for _, e := range entries {
 		if err := w.Add(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if w.Len() != 4 {
+	if w.Len() != int64(len(entries)) {
 		t.Fatalf("len = %d", w.Len())
 	}
 	w.Flush()
@@ -49,7 +53,7 @@ func TestReadSkipsCommentsAndBlank(t *testing.T) {
 }
 
 func TestReadMalformed(t *testing.T) {
-	for _, in := range []string{"1 2 3\n", "x 100 A 0 ok 0\n"} {
+	for _, in := range []string{"1 2 3\n", "x 100 A 0 ok 0\n", "0 100 A 0 ok 0 - x\n", "0 100 A 0 ok 0 - 5 6\n"} {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("malformed %q accepted", in)
 		}

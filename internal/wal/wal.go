@@ -26,8 +26,10 @@
 // interval cannot grow the group, it only idles the machine. This is the
 // same "wait briefly for stragglers, then flush" heuristic production group
 // commit uses, and it replaces the previous design's leader spin loop
-// (~30% of a CPU yielding to beat the scheduler's ~1.1ms timer quantum)
-// with a bounded quiescence watch.
+// (~30% of a CPU yielding to beat the runtime's millisecond timer rounding:
+// an idle scheduler sleeps in the netpoller, whose timeout is whole
+// milliseconds, so any shorter timer fires ~1.1ms late) with a bounded
+// quiescence watch.
 package wal
 
 import (
@@ -400,10 +402,13 @@ func (l *Log) append(rec []byte, seqOff int) error {
 }
 
 // leadSpinWindow bounds how much of the lone leader's interval wait runs as
-// a yield loop instead of a timer sleep. Timer sleeps below roughly two
-// milliseconds round up to the scheduler quantum — longer than every
-// configured group interval, which is exactly what a lone committer's
-// latency is made of — so the final stretch before the deadline is always
+// a yield loop instead of a timer sleep. An idle Go scheduler waits for its
+// next timer in the netpoller, whose timeout is whole milliseconds, so a
+// timer sleep below roughly two milliseconds comes back up to a millisecond
+// late — longer than every configured group interval, which is exactly what
+// a lone committer's latency is made of (a direct syscall.Nanosleep of 50µs
+// overshoots by ~60µs on the same host, time.Sleep by ~1040µs: see DESIGN.md
+// "Arrival pacing") — so the final stretch before the deadline is always
 // yielded through: a lone committer is typically the only runnable
 // goroutine in that regime, making the yields free. Intervals longer than
 // the window still sleep through their bulk and only spin the tail.
@@ -413,8 +418,8 @@ const leadSpinWindow = 2 * time.Millisecond
 // with making sure the batch eventually seals. While the leader is alone it
 // waits out the interval — a lone commit owes the full flush cadence —
 // sleeping through all but the last leadSpinWindow of it and yielding the
-// rest, so the seal lands on the deadline instead of a timer quantum past
-// it. Once a second record arrives the leader switches to the straggler
+// rest, so the seal lands on the deadline instead of the runtime's rounded
+// millisecond past it. Once a second record arrives the leader switches to the straggler
 // watch: it yields the processor in a loop, and when no new record has
 // appeared for strugglerWait — every closed-loop committer is already
 // parked in the batch — or the deadline passes, it seals. The watch costs a

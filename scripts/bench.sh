@@ -172,9 +172,12 @@ if [ "${1:-}" = "--compare" ]; then
     fi
     if [ -z "$CURRENT" ]; then
         echo "==> fresh engine macro run for compare (${COMPARE_BENCH:-BenchmarkEngineYCSB_})"
+        # The records were written on one CPU, where go test prints bare
+        # names; with more it appends -GOMAXPROCS, and no name would match.
         FRESH=$(go test -count=1 -run '^$' \
             -bench "${COMPARE_BENCH:-BenchmarkEngineYCSB_}" \
-            -benchmem -benchtime "${BENCHTIME_MACRO:-2x}" . | grep '^Benchmark')
+            -benchmem -benchtime "${BENCHTIME_MACRO:-2x}" . | grep '^Benchmark' |
+            sed -E 's/^(Benchmark[^[:space:]]*)-[0-9]+([[:space:]])/\1\2/')
         CURRENT=$(mktemp)
         trap 'rm -f "$CURRENT"' EXIT
         {

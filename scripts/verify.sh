@@ -12,6 +12,10 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+# internal/core parks the arrival pacer with syscall.Nanosleep where the
+# platform has it and falls back to the runtime timer elsewhere: vet the
+# fallback's build-tag variant too.
+GOOS=windows go vet ./internal/core/
 
 echo "==> gofmt -l ."
 UNFORMATTED=$(gofmt -l .)
@@ -38,6 +42,9 @@ fi
 echo "==> go test ./..."
 go test ./...
 
+echo "==> bench module tests (root go test does not descend into bench/)"
+(cd bench && go vet ./... && go test ./...)
+
 echo "==> benchlint ./... (full tree, incl. self-lint of internal/analysis)"
 go run ./cmd/benchlint ./...
 go run ./cmd/benchlint ./internal/analysis/...
@@ -48,8 +55,11 @@ echo "==> benchlint hotpath-alloc (batch hot-path allocation gate)"
 # instead of hiding in the full-tree run above.
 go run ./cmd/benchlint -rule hotpath-alloc ./internal/...
 
-echo "==> go test -race (short) core/stats/sqldb/wal/api/cluster"
-go test -race -short -count=1 ./internal/core/... ./internal/stats/... ./internal/sqldb/... ./internal/wal/ ./internal/api/ ./internal/cluster/
+echo "==> go test -race (short) core, api (one package at a time: the pacer tests time microseconds)"
+go test -race -short -count=1 -p 1 ./internal/core/... ./internal/api/
+
+echo "==> go test -race (short) stats/sqldb/wal/cluster"
+go test -race -short -count=1 ./internal/stats/... ./internal/sqldb/... ./internal/wal/ ./internal/cluster/
 
 echo "==> cluster merge gate (-race): coordinator + 2 in-process workers"
 # Short YCSB burst through the coordinator/worker wire: merged committed
@@ -106,5 +116,12 @@ echo "==> bench record compare (BENCH_disk.json: disk-resident YCSB, fresh run)"
 # well inside the 5% envelope. The record's all-RAM golock row is contextual
 # (it is gated via BENCH_speed.json above), hence --allow-missing.
 COMPARE_BENCH='BenchmarkEngineYCSBDisk' BENCHTIME_MACRO=4x scripts/bench.sh --compare BENCH_disk.json --allow-missing
+
+echo "==> bench smoke (bench/run.sh --smoke: the one benchmark, end to end)"
+# Tiny scales, one measured second, quarter rates: every workload runs
+# untraced and traced through core.Manager and the REST control plane, the
+# correctness checks run, and every metric BENCHMARK.json names must come
+# out. It checks the plumbing, not the numbers.
+bash bench/run.sh --smoke > /dev/null
 
 echo "verify: all gates passed"
