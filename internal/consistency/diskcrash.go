@@ -422,7 +422,8 @@ func RecoverDiskCrash(res *DiskCrashResult, poolPages int) (*sqldb.Engine, error
 //   - the recovered table holds exactly the winners' writes replayed in
 //     order, value- and pad-byte-exact;
 //   - every page of the recovered device verifies (recovery reformatted and
-//     rebuilt any torn page from the log).
+//     rebuilt any torn page from the log) and holds each winner's last
+//     logged image of every slot.
 func VerifyDiskCrash(res *DiskCrashResult, attempts []CommitAttempt, eng *sqldb.Engine) error {
 	rec := eng.DiskRecovery()
 	if rec == nil {
@@ -511,6 +512,22 @@ func VerifyDiskCrash(res *DiskCrashResult, attempts []CommitAttempt, eng *sqldb.
 		}
 		if err := heap.Verify(buf); err != nil {
 			return fmt.Errorf("consistency: recovered page %d fails verification: %w", id, err)
+		}
+	}
+	// The table check above reads rows rebuilt from the log alone, blind to
+	// a stale page; the pages themselves must hold every winner's last image
+	// of each slot.
+	last := map[[2]uint32][]byte{}
+	for _, u := range rec.Updates {
+		last[[2]uint32{u.PageID, uint32(u.Slot)}] = u.After
+	}
+	for at, img := range last {
+		if err := res.Device.ReadPage(at[0], buf); err != nil {
+			return fmt.Errorf("consistency: recovered page %d: %w", at[0], err)
+		}
+		got, ok := heap.AsPage(buf).Slot(int(at[1]))
+		if ok != (len(img) > 0) || !bytes.Equal(got, img) {
+			return fmt.Errorf("consistency: recovered page %d slot %d does not hold its last logged image", at[0], at[1])
 		}
 	}
 	return nil

@@ -2,11 +2,17 @@ package consistency
 
 import (
 	"bytes"
+	"io"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"benchpress/internal/dbdriver"
+	"benchpress/internal/sqldb"
 	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqldb/txn"
+	"benchpress/internal/wal"
 )
 
 // recoverVerifyConform recovers a crash run's disk image, checks the
@@ -244,4 +250,134 @@ func TestDiskCrashChainedRestarts(t *testing.T) {
 	}
 
 	recoverVerifyConform(t, run2, MergeAttempts(run1.Attempts, run2.Attempts), 120, seed+2)
+}
+
+// holdFirstWrite parks the first sink write until release closes, closing
+// held when that write arrives.
+type holdFirstWrite struct {
+	w       io.Writer
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (h *holdFirstWrite) Write(p []byte) (int, error) {
+	h.once.Do(func() {
+		close(h.held)
+		<-h.release
+	})
+	return h.w.Write(p)
+}
+
+// TestDiskCrashCheckpointInFlight kills the engine inside the window the
+// commit pipeline opens: a checkpoint logged while another transaction's
+// update records are sequenced but not applied. The order is forced, not
+// timed: the sink parks its first write, which holds transaction B between
+// logging and applying, and lets it go only once A — the commit that takes
+// the checkpoint — has logged its records. The budget dies after both acks,
+// before the pool flushes either page, and recovery must redo both from the
+// checkpoint's dirty page table: the pool alone had no dirty page to offer.
+func TestDiskCrashCheckpointInFlight(t *testing.T) {
+	mem := heap.NewMemDevice()
+	var life1 bytes.Buffer
+	eng, err := sqldb.OpenDisk(sqldb.Config{
+		Name: "disk-crash", Mode: txn.Locking, WALPolicy: wal.SyncNone,
+		DiskDevice: mem, WALSink: &life1, BufferPoolPages: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := eng.Session()
+	if _, err := sess.Exec(`CREATE TABLE crashkv (
+		k BIGINT NOT NULL, v BIGINT, pad VARCHAR(200), PRIMARY KEY (k))`); err != nil {
+		t.Fatal(err)
+	}
+	// 40 rows of ~190 bytes span two pages, so keys 0 and 39 sit apart.
+	if err := sess.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	load := CommitAttempt{ID: sess.TxnInfo().ID, Acked: true}
+	for k := int64(0); k < 40; k++ {
+		op := WalOp{Kind: byte(txn.WriteInsert), K: k, V: MakeTag(load.ID, int(k))}
+		if _, err := sess.Exec("INSERT INTO crashkv (k, v, pad) VALUES (?, ?, ?)", k, op.V, diskCrashPad(op.V)); err != nil {
+			t.Fatal(err)
+		}
+		load.Ops = append(load.Ops, op)
+	}
+	if err := sess.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close() // clean: the next life starts with every page on the device
+
+	budget := newCrashBudget(-1)
+	wal2 := &budgetWriter{budget: budget}
+	sink := &holdFirstWrite{w: wal2, held: make(chan struct{}), release: make(chan struct{})}
+	eng, err = sqldb.OpenDisk(sqldb.Config{
+		Name: "disk-crash", Mode: txn.Locking,
+		WALPolicy: wal.SyncGroup, GroupCommitInterval: 200 * time.Microsecond,
+		DiskDevice: &budgetDevice{mem: mem, budget: budget}, DiskWAL: life1.Bytes(), WALSink: sink,
+		BufferPoolPages: 8, CheckpointEvery: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		att CommitAttempt
+		err error
+	}
+	update := func(k int64) <-chan result {
+		out := make(chan result, 1)
+		go func() {
+			s := eng.Session()
+			if err := s.Begin(); err != nil {
+				out <- result{err: err}
+				return
+			}
+			id := s.TxnInfo().ID
+			op := WalOp{Kind: byte(txn.WriteUpdate), K: k, V: MakeTag(id, 0)}
+			if _, err := s.Exec("UPDATE crashkv SET v = ?, pad = ? WHERE k = ?", op.V, diskCrashPad(op.V), k); err != nil {
+				out <- result{err: err}
+				return
+			}
+			err := s.Commit()
+			out <- result{CommitAttempt{ID: id, Ops: []WalOp{op}, Acked: err == nil}, err}
+		}()
+		return out
+	}
+
+	logged := eng.WAL().Records()
+	b := update(0) // commit 1: its group's write parks in the sink
+	<-sink.held
+	a := update(39) // commit 2 takes the checkpoint while B is unapplied
+	// A's update, checkpoint and commit record join B's two.
+	for deadline := time.Now().Add(10 * time.Second); eng.WAL().Records() < logged+5; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			close(sink.release)
+			t.Fatal("A never logged its records while B awaited its flush: commits are serialized")
+		}
+	}
+	close(sink.release)
+	rb, ra := <-b, <-a
+	if rb.err != nil || ra.err != nil {
+		t.Fatalf("commits: B %v, A %v", rb.err, ra.err)
+	}
+
+	// Kill after both acks: the shutdown's page flushes never land.
+	budget.mu.Lock()
+	budget.dead = true
+	budget.mu.Unlock()
+	eng.Close()
+
+	res := &DiskCrashResult{Device: mem, WALImage: append(append([]byte(nil), life1.Bytes()...), wal2.buf...)}
+	rec, err := RecoverDiskCrash(res, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if err := VerifyDiskCrash(res, []CommitAttempt{load, rb.att, ra.att}, rec); err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.DiskRecovery().Redone; n != 2 {
+		t.Fatalf("recovery redid %d updates, want B's and A's: the kill did not land before their page flushes", n)
+	}
 }

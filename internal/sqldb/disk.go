@@ -30,9 +30,13 @@ import (
 //	                  flush wait (AppendRecordAsync)
 //	commit record   — appended with AppendRecord, whose group-commit verdict
 //	                  covers the whole batch (sink bytes land in LSN order)
-//	checkpoints     — fuzzy: the buffer pool's dirty page table, every
-//	                  CheckpointEvery commits
+//	checkpoints     — fuzzy: the buffer pool's dirty page table plus every
+//	                  logged-but-unapplied op, every CheckpointEvery commits
 //
+// A commit (1) sequences under ds.mu: plans slots, logs update records,
+// takes an apply ticket; (2) awaits its commit record outside the lock, so
+// concurrent commits share a group flush; (3) applies in ticket (= LSN)
+// order, because redo skips a record whose page LSN is already past it.
 // Pages change only after the commit record is durable, so the pool never
 // holds uncommitted data (no-steal with respect to losers) and recovery's
 // undo pass is degenerate by construction. On reopen, heap.Recover replays
@@ -82,6 +86,15 @@ type diskOp struct {
 	before []byte
 	after  []byte // nil deletes the slot
 	lsn    uint64
+	fresh  bool // first op on a never-written page: apply with PinNew
+}
+
+// applyTicket is one logged op set's turn at the heap pages, taken under
+// ds.mu in LSN order and chained like flushGen.prev (see finish).
+type applyTicket struct {
+	ops  []diskOp
+	prev chan struct{} // predecessor's done; nil when none was in flight
+	done chan struct{}
 }
 
 type diskStore struct {
@@ -103,6 +116,7 @@ type diskStore struct {
 	commits     int
 	ckptEvery   int
 	recovery    *heap.RecoveryResult
+	inflight    []*applyTicket // oldest first; closed prefix retired lazily
 }
 
 // diskSchema is the serialized form of one table's schema, stored as a
@@ -499,7 +513,8 @@ func (ds *diskStore) planUpdate(rid heapRID, oldRec, newRec []byte) ([]diskOp, h
 }
 
 // logOps appends one update record per op (async) and returns only once all
-// are sequenced. Callers buy durability with a subsequent awaited record.
+// are sequenced. Callers hold ds.mu and buy durability with a subsequent
+// awaited record. Marking fresh pages here keeps applying off the allocator.
 func (ds *diskStore) logOps(txnID uint64, ops []diskOp) error {
 	for i := range ops {
 		op := &ops[i]
@@ -514,6 +529,8 @@ func (ds *diskStore) logOps(txnID uint64, ops []diskOp) error {
 			return err
 		}
 		op.lsn = lsn
+		a := &ds.alloc[ds.allocIdx[op.rid.page]]
+		op.fresh, a.fresh = a.fresh, false
 	}
 	return nil
 }
@@ -522,14 +539,12 @@ func (ds *diskStore) logOps(txnID uint64, ops []diskOp) error {
 // durability is settled; a failure here is a device fault, not a crash state.
 func (ds *diskStore) applyOps(ops []diskOp) error {
 	for _, op := range ops {
-		a := &ds.alloc[ds.allocIdx[op.rid.page]]
 		var (
 			f   *heap.Frame
 			err error
 		)
-		if a.fresh {
+		if op.fresh {
 			f, err = ds.pool.PinNew(op.rid.page)
-			a.fresh = false
 		} else {
 			f, err = ds.pool.Pin(op.rid.page)
 		}
@@ -547,27 +562,82 @@ func (ds *diskStore) applyOps(ops []diskOp) error {
 	return nil
 }
 
-// maybeCheckpointLocked logs a fuzzy checkpoint (the pool's dirty page table)
-// every ckptEvery commits. Checkpoints ride the group pipeline; a torn one is
-// simply ignored by recovery in favor of its predecessor.
+// ticketLocked retires the applied prefix of inflight and queues a ticket for
+// ops behind the newest one still in flight.
+func (ds *diskStore) ticketLocked(ops []diskOp) *applyTicket {
+	for len(ds.inflight) > 0 && closed(ds.inflight[0].done) {
+		ds.inflight = ds.inflight[1:]
+	}
+	tk := &applyTicket{ops: ops, done: make(chan struct{})}
+	if n := len(ds.inflight); n > 0 {
+		tk.prev = ds.inflight[n-1].done
+	}
+	ds.inflight = append(ds.inflight, tk)
+	return tk
+}
+
+// finish is a ticket's turn: wait for the predecessor, apply unless err has
+// failed the commit, and close done on every path, so done closes in order.
+func (ds *diskStore) finish(tk *applyTicket, err error) error {
+	if tk.prev != nil {
+		<-tk.prev
+	}
+	if err == nil {
+		err = ds.applyOps(tk.ops)
+	}
+	close(tk.done)
+	return err
+}
+
+func closed(c chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}
+
+// maybeCheckpointLocked logs a fuzzy checkpoint every ckptEvery commits. Redo
+// starts at its minimum RecLSN, so the dirty page table lists every in-flight
+// ticket's ops at their own LSNs — read before the pool's, so a ticket that
+// finishes in between is still covered. Checkpoints ride the group pipeline;
+// a torn one is simply ignored by recovery in favor of its predecessor.
 func (ds *diskStore) maybeCheckpointLocked() error {
 	ds.commits++
 	if ds.ckptEvery <= 0 || ds.commits%ds.ckptEvery != 0 {
 		return nil
 	}
-	_, err := ds.log.AppendRecordAsync(wal.EncodeCheckpoint(wal.CheckpointRec{Dirty: ds.pool.DirtyPages()}))
+	var dirty []wal.DirtyPage
+	for _, tk := range ds.inflight {
+		for _, op := range tk.ops {
+			dirty = append(dirty, wal.DirtyPage{PageID: op.rid.page, RecLSN: op.lsn})
+		}
+	}
+	dirty = append(dirty, ds.pool.DirtyPages()...)
+	_, err := ds.log.AppendRecordAsync(wal.EncodeCheckpoint(wal.CheckpointRec{Dirty: dirty}))
 	return err
 }
 
-// onCommit is the disk engine's durability hook: log the transaction's slot
-// images, await the commit record (whose verdict covers the batch), then
-// apply the images to heap pages. Runs under ds.mu, so commits apply in
-// commit order and the dirty page table snapshots are exact.
+// onCommit is the disk engine's durability hook: the three steps of the file
+// comment. The commit record's verdict covers the update records before it.
 func (ds *diskStore) onCommit(t *txn.Txn) error {
 	writes := t.WriteSet()
 	if len(writes) == 0 {
 		return nil // claims-only transaction: nothing durable changes
 	}
+	tk, err := ds.sequence(t.ID(), writes)
+	if tk == nil {
+		return err
+	}
+	if err == nil {
+		err = ds.log.AppendRecord(wal.EncodeCommit(t.ID()))
+	}
+	return ds.finish(tk, err)
+}
+
+// sequence is step (1). A returned ticket must reach finish, even with err.
+func (ds *diskStore) sequence(txnID uint64, writes []txn.WriteRec) (*applyTicket, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 
@@ -575,34 +645,34 @@ func (ds *diskStore) onCommit(t *txn.Txn) error {
 	for _, w := range writes {
 		dt, ok := ds.byName[strings.ToLower(w.Table)]
 		if !ok {
-			return fmt.Errorf("sqldb: commit touches unknown disk table %q", w.Table)
+			return nil, fmt.Errorf("sqldb: commit touches unknown disk table %q", w.Table)
 		}
 		switch w.Kind {
 		case txn.WriteInsert:
 			rec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
 			rid, err := ds.place(len(rec))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			ops = append(ops, diskOp{rid: rid, after: rec})
 			dt.rids[w.RowID] = rid
 		case txn.WriteUpdate:
 			rid, ok := dt.rids[w.RowID]
 			if !ok {
-				return fmt.Errorf("sqldb: update of unmapped row %d in %q", w.RowID, w.Table)
+				return nil, fmt.Errorf("sqldb: update of unmapped row %d in %q", w.RowID, w.Table)
 			}
 			oldRec := encodeHeapRec(dt.id, heap.EncodeRow(w.Old))
 			newRec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
 			uops, newRid, err := ds.planUpdate(rid, oldRec, newRec)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			ops = append(ops, uops...)
 			dt.rids[w.RowID] = newRid
 		case txn.WriteDelete:
 			rid, ok := dt.rids[w.RowID]
 			if !ok {
-				return fmt.Errorf("sqldb: delete of unmapped row %d in %q", w.RowID, w.Table)
+				return nil, fmt.Errorf("sqldb: delete of unmapped row %d in %q", w.RowID, w.Table)
 			}
 			rec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
 			ops = append(ops, diskOp{rid: rid, before: rec})
@@ -611,31 +681,21 @@ func (ds *diskStore) onCommit(t *txn.Txn) error {
 		}
 	}
 
-	if err := ds.logOps(t.ID(), ops); err != nil {
-		return err
+	if err := ds.logOps(txnID, ops); err != nil {
+		return nil, err
 	}
-	// The awaited commit record: its group-commit verdict covers every
-	// update record above (sink writes happen in sequence order).
-	if err := ds.log.AppendRecord(wal.EncodeCommit(t.ID())); err != nil {
-		return err
-	}
-	if err := ds.applyOps(ops); err != nil {
-		return err
-	}
-	return ds.maybeCheckpointLocked()
+	return ds.ticketLocked(ops), ds.maybeCheckpointLocked()
 }
 
 // logSystemOps logs ops under SystemTxnID (treated as always committed by
 // recovery) and forces them durable before applying — DDL is rare enough to
-// pay the barrier.
+// pay the barrier. finish waits under the caller's ds.mu: applying never
+// takes it.
 func (ds *diskStore) logSystemOps(ops []diskOp) error {
 	if err := ds.logOps(wal.SystemTxnID, ops); err != nil {
 		return err
 	}
-	if err := ds.log.Flush(); err != nil {
-		return err
-	}
-	return ds.applyOps(ops)
+	return ds.finish(ds.ticketLocked(ops), ds.log.Flush())
 }
 
 // onCreateTable assigns the new table a stable id and logs its catalog

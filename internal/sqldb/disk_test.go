@@ -1,9 +1,13 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
+	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqldb/txn"
 	"benchpress/internal/wal"
 )
@@ -258,5 +262,115 @@ func TestDiskEngineGroupCommitPolicy(t *testing.T) {
 	}
 	if len(res.Rows) != 5 {
 		t.Fatalf("%d rows, want 5", len(res.Rows))
+	}
+}
+
+// TestDiskCommitsShareGroup guards the commit pipeline against
+// re-serialization: two sessions committing disjoint one-row updates must
+// share group flushes (a lone commit owes the whole interval, so serialized
+// commits take 2N intervals with one flush each), every page must end at the
+// LSN of the last op applied to it (ops applied in LSN order), and a reopen
+// must recover the same rows.
+func TestDiskCommitsShareGroup(t *testing.T) {
+	const (
+		n        = 100
+		interval = 500 * time.Microsecond
+	)
+	dev := heap.NewMemDevice()
+	open := func(image []byte, sink *bytes.Buffer) *Engine {
+		t.Helper()
+		e, err := OpenDisk(Config{
+			Name:                "golock-disk",
+			Mode:                txn.Locking,
+			WALPolicy:           wal.SyncGroup,
+			GroupCommitInterval: interval,
+			DiskDevice:          dev,
+			DiskWAL:             image,
+			WALSink:             sink,
+			BufferPoolPages:     8,
+		})
+		if err != nil {
+			t.Fatalf("OpenDisk: %v", err)
+		}
+		return e
+	}
+	var sink bytes.Buffer
+	e := open(nil, &sink)
+	s := e.Session()
+	mustExec(t, s, `CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL, PRIMARY KEY (k))`)
+	mustExec(t, s, "INSERT INTO kv (k, v) VALUES (?, ?)", 1, 0)
+	mustExec(t, s, "INSERT INTO kv (k, v) VALUES (?, ?)", 2, 0)
+
+	flushes0 := e.WAL().Flushes()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for k := 1; k <= 2; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			s := e.Session()
+			for i := 1; i <= n; i++ {
+				if _, err := s.Exec("UPDATE kv SET v = ? WHERE k = ?", i, k); err != nil {
+					t.Errorf("session %d update %d: %v", k, i, err)
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	wall := time.Since(start)
+	flushes := e.WAL().Flushes() - flushes0
+	if t.Failed() {
+		t.FailNow()
+	}
+	t.Logf("%d commits: %d flushes in %v", 2*n, flushes, wall)
+	if flushes*4 >= 2*n*3 {
+		t.Errorf("%d flushes for %d commits: commits did not share groups (want < 0.75 per commit)", flushes, 2*n)
+	}
+	if wall >= n*interval {
+		t.Errorf("%d commits per session took %v, want < %v", n, wall, n*interval)
+	}
+	e.Close()
+
+	// Every page carries the LSN of the last update record logged for it.
+	recs, _, err := wal.ScanRecords(sink.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := map[uint32]uint64{}
+	for _, r := range recs {
+		ar, err := wal.DecodeARIES(r.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ar.Kind == wal.KindUpdate {
+			last[ar.Update.PageID] = r.Seq
+		}
+	}
+	pages, err := dev.Pages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, heap.PageSize)
+	for id := uint32(0); id < pages; id++ {
+		if err := dev.ReadPage(id, buf); err != nil {
+			t.Fatalf("page %d: %v", id, err)
+		}
+		if err := heap.Verify(buf); err != nil {
+			t.Fatalf("page %d: %v", id, err)
+		}
+		if got := heap.AsPage(buf).LSN(); got != last[id] {
+			t.Errorf("page %d LSN = %d, want %d (its last update)", id, got, last[id])
+		}
+	}
+
+	e2 := open(append([]byte(nil), sink.Bytes()...), &bytes.Buffer{})
+	defer e2.Close()
+	res, err := e2.Session().Query("SELECT k, v FROM kv ORDER BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[0][1].Int() != n || res.Rows[1][1].Int() != n {
+		t.Fatalf("recovered rows %v, want k=1,2 both at v=%d", res.Rows, n)
 	}
 }

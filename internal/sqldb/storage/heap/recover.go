@@ -26,9 +26,12 @@ import (
 //     nothing to revert in practice; it stays defensive — a before-image is
 //     restored only when the slot still holds the loser's after-image.
 //
-// The active transaction table is empty by construction at every checkpoint
-// (updates are logged and applied inside the commit window, never before),
-// which is why the checkpoint record carries only the dirty page table.
+// The checkpoint record carries only the dirty page table, though other
+// transactions may have logged updates and not yet committed when it is
+// taken. Analysis reads the whole log (it is never truncated), so winners
+// and losers come from commit records alone; and the engine lists every
+// logged-but-unapplied update in the table at its own LSN, so the redo point
+// never passes a change that a page may still lack.
 
 // RecoveryResult summarizes one restart.
 type RecoveryResult struct {

@@ -25,11 +25,11 @@
 // benchmark terminals are closed-loop, so waiting out the rest of the
 // interval cannot grow the group, it only idles the machine. This is the
 // same "wait briefly for stragglers, then flush" heuristic production group
-// commit uses, and it replaces the previous design's leader spin loop
-// (~30% of a CPU yielding to beat the runtime's millisecond timer rounding:
-// an idle scheduler sleeps in the netpoller, whose timeout is whole
-// milliseconds, so any shorter timer fires ~1.1ms late) with a bounded
-// quiescence watch.
+// commit uses. The leader still yields the processor (runtime.Gosched) in
+// two loops: through the last leadSpinWindow before the deadline while it is
+// alone, because an idle scheduler sleeps in the netpoller, whose timeout is
+// whole milliseconds, so a shorter timer fires up to a millisecond late; and
+// through the quiescence watch once the batch has company.
 package wal
 
 import (
@@ -393,12 +393,11 @@ func (l *Log) append(rec []byte, seqOff int) error {
 	if lead {
 		return l.lead(g, deadline)
 	}
-	select {
-	case <-g.done:
-		return g.err
-	case <-l.stop:
-	}
-	return nil
+	// Close seals and completes the open generation and every sealed one
+	// has a writer, so done always closes; only its verdict may acknowledge
+	// the record.
+	<-g.done
+	return g.err
 }
 
 // leadSpinWindow bounds how much of the lone leader's interval wait runs as
@@ -457,14 +456,9 @@ func (l *Log) lead(g *flushGen, deadline time.Time) error {
 	}
 	if l.sealIfOpen(g) {
 		l.complete(g)
-		return g.err
 	}
-	select {
-	case <-g.done:
-		return g.err
-	case <-l.stop:
-	}
-	return nil
+	<-g.done
+	return g.err
 }
 
 // sealLocked seals the open generation: it takes ownership of the buffered
@@ -562,8 +556,8 @@ func (l *Log) flushNow() {
 	l.complete(g)
 }
 
-// Close stops background work after a final flush and releases any
-// group-commit waiters. It is idempotent.
+// Close stops background work after a final flush, which releases every
+// group-commit waiter with its generation's write verdict. It is idempotent.
 func (l *Log) Close() {
 	if l == nil || l.policy == SyncNone {
 		return

@@ -169,6 +169,50 @@ func TestGroupCommitWriteErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsForWaiterVerdict is the regression test for Close
+// acknowledging group-commit waiters on its stop signal: a waiter parked
+// behind an unwritten generation must get that generation's write verdict —
+// here the sink's failure — never nil before its bytes reach the sink.
+func TestCloseWaitsForWaiterVerdict(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	w := writerFunc(func(p []byte) (int, error) {
+		close(held) // the failed write kills the log: there is no second
+		<-release
+		return 0, errDevice
+	})
+	// An interval far beyond the test, its deadline armed by an empty seal:
+	// only the two-record straggler seal can end the generation, leaving
+	// one of the two appenders a plain waiter.
+	l := New(Options{Policy: SyncGroup, GroupInterval: time.Hour, W: w})
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { errs <- l.Append(1) }()
+	}
+	<-held // both records sealed into one generation; its write is parked
+	closed := make(chan struct{})
+	go func() {
+		l.Close()
+		close(closed)
+	}()
+	<-l.stop
+	select {
+	case err := <-errs:
+		t.Fatalf("waiter released with %v before its generation was written", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, errDevice) {
+			t.Fatalf("waiter %d got %v, want the sink's failure", i, err)
+		}
+	}
+	<-closed
+}
+
 // TestSyncNoneWriteErrorFailsAppend pins write-through semantics: a failed
 // or short write must surface on the very append that hit it, and the log
 // must refuse all further appends.

@@ -102,21 +102,6 @@ go test -race -count=1 -run 'TestStorageStressConcurrent' ./internal/sqldb/txn/
 echo "==> allocation smoke (prepared point read)"
 go test -count=1 -run 'TestPreparedPointReadAllocSmoke' -v ./internal/sqldb/ | grep -E 'allocs/op|PASS|FAIL'
 
-echo "==> bench record compare (BENCH_obsv.json -> BENCH_speed.json)"
-# Deterministic file-vs-file regression gate over the checked-in records:
-# the raw-speed record must not regress tps, ns/op, or throughput-normalized
-# allocations by more than 5% against the observability-era numbers.
-scripts/bench.sh --compare BENCH_obsv.json BENCH_speed.json
-
-echo "==> bench record compare (BENCH_disk.json: disk-resident YCSB, fresh run)"
-# Fresh disk-resident rows against the checked-in disk-residency record:
-# guards the buffer-pool/eviction/recovery path's throughput (and its
-# dataset>=2x-pool invariant, asserted inside the benchmark itself).
-# 4x benchtime averages four 500ms runs per row, keeping run-to-run noise
-# well inside the 5% envelope. The record's all-RAM golock row is contextual
-# (it is gated via BENCH_speed.json above), hence --allow-missing.
-COMPARE_BENCH='BenchmarkEngineYCSBDisk' BENCHTIME_MACRO=4x scripts/bench.sh --compare BENCH_disk.json --allow-missing
-
 echo "==> bench smoke (bench/run.sh --smoke: the one benchmark, end to end)"
 # Tiny scales, one measured second, quarter rates: every workload runs
 # untraced and traced through core.Manager and the REST control plane, the
