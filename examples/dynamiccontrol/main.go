@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -46,22 +47,36 @@ func main() {
 	defer srv.Close()
 	fmt.Println("control API at", srv.URL)
 
-	post := func(path string, body any) {
-		buf, _ := json.Marshal(body)
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(buf))
-		if err != nil {
-			log.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-	status := func() api.StatusResponse {
-		resp, err := http.Get(srv.URL + "/status")
+	workload := srv.URL + "/api/v1/workloads/steered"
+	// decode ends the example on a failed call, a non-2xx reply or an
+	// undecodable body, so a broken call never prints a row of zeros.
+	decode := func(resp *http.Response, err error, out any) {
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer resp.Body.Close()
+		call := resp.Request.Method + " " + resp.Request.URL.Path
+		if resp.StatusCode/100 != 2 {
+			msg, _ := io.ReadAll(resp.Body)
+			log.Fatalf("%s: %s: %s", call, resp.Status, bytes.TrimSpace(msg))
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			log.Fatalf("%s: decode reply: %v", call, err)
+		}
+	}
+	post := func(path string, body any) {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			log.Fatal(err)
+		}
+		resp, err := http.Post(workload+path, "application/json", bytes.NewReader(buf))
+		var reply json.RawMessage
+		decode(resp, err, &reply)
+	}
+	status := func() api.StatusResponse {
+		resp, err := http.Get(workload)
 		var st api.StatusResponse
-		json.NewDecoder(resp.Body).Decode(&st)
+		decode(resp, err, &st)
 		return st
 	}
 

@@ -46,14 +46,11 @@ type Config struct {
 	// remains available for manual, deterministic reclamation.
 	VacuumInterval time.Duration
 	// WALSink, when non-nil, receives the WAL's flushed bytes (default
-	// discard). The consistency harness points it at a kill-injecting
-	// writer to emulate crashes at arbitrary sync boundaries.
+	// discard): one framed wal.EncodeCommit record per writing commit on a
+	// RAM engine, the ARIES update/commit/checkpoint stream on a disk one.
+	// The consistency harness points it at a byte-metered writer to
+	// emulate crashes at arbitrary sync boundaries.
 	WALSink io.Writer
-	// CommitPayload, when set together with a WAL policy, encodes each
-	// committing transaction into the framed record appended to the log
-	// (wal.AppendRecord), enabling crash-recovery replay checks. When nil
-	// the log records only write counts.
-	CommitPayload func(*txn.Txn) []byte
 
 	// DataDir, when non-empty, makes the engine disk-resident (OpenDisk):
 	// committed rows live in a slotted-page heap file (DataDir/heap.db)
@@ -124,15 +121,8 @@ func Open(cfg Config) *Engine {
 	if cfg.WALPolicy != wal.SyncNone || cfg.CommitDelay > 0 || cfg.WALSink != nil {
 		e.log = wal.New(wal.Options{Policy: cfg.WALPolicy, GroupInterval: cfg.GroupCommitInterval, W: cfg.WALSink})
 		delay := cfg.CommitDelay
-		payload := cfg.CommitPayload
 		e.mgr.OnCommit = func(t *txn.Txn) error {
-			var err error
-			if payload != nil {
-				err = e.log.AppendRecord(payload(t))
-			} else {
-				err = e.log.Append(t.WriteCount())
-			}
-			if err != nil {
+			if err := e.log.AppendRecord(wal.EncodeCommit(t.ID())); err != nil {
 				return err
 			}
 			if delay > 0 {

@@ -1,11 +1,13 @@
 package sqldb
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"benchpress/internal/sqldb/exec"
 	"benchpress/internal/sqldb/txn"
+	"benchpress/internal/wal"
 )
 
 func newEngine(t *testing.T, mode txn.Mode) *Engine {
@@ -845,5 +847,55 @@ func TestAutocommitTxnInfo(t *testing.T) {
 				t.Fatalf("failed autocommit reported committed: %+v", info)
 			}
 		})
+	}
+}
+
+// TestRAMEngineLogReplays pins the RAM engines' commit record: every writing
+// commit logs the framed wal.EncodeCommit record the disk engine writes, so
+// the log decodes with the reader recovery uses, one record per writer in
+// commit order, and read-only commits log nothing.
+func TestRAMEngineLogReplays(t *testing.T) {
+	var sink bytes.Buffer
+	e := Open(Config{Name: "test", Mode: txn.MVCC, WALPolicy: wal.SyncGroup, WALSink: &sink})
+	s := e.Session()
+	mustExec(t, s, "CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k))")
+	const writers = 6
+	var want []uint64
+	for i := 0; i < writers; i++ {
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, s, "INSERT INTO kv (k, v) VALUES (?, ?)", i, i)
+		want = append(want, s.TxnInfo().ID)
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		// One explicit and one autocommitted read-only transaction.
+		if err := s.BeginReadOnly(); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, s, "SELECT v FROM kv WHERE k = ?", i)
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, s, "SELECT v FROM kv WHERE k = ?", i)
+	}
+	e.Close()
+
+	recs, err := wal.ReadRecords(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != writers {
+		t.Fatalf("log holds %d records, want %d", len(recs), writers)
+	}
+	for i, r := range recs {
+		rec, err := wal.DecodeARIES(r.Payload)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if rec.Kind != wal.KindCommit || rec.Commit != want[i] {
+			t.Fatalf("record %d is kind %d for txn %d, want the commit of txn %d", i, rec.Kind, rec.Commit, want[i])
+		}
 	}
 }

@@ -547,7 +547,7 @@ func TestOnCommitHook(t *testing.T) {
 	var calls, writes atomic.Int64
 	m.OnCommit = func(tx *Txn) error {
 		calls.Add(1)
-		writes.Add(int64(tx.WriteCount()))
+		writes.Add(int64(len(tx.WriteSet())))
 		return nil
 	}
 	tbl := newAccountsTable(t)

@@ -72,10 +72,6 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// recordHeaderSize is the encoded size of one commit record header:
-// sequence (8) + record count (4) + reserved (4).
-const recordHeaderSize = 16
-
 // flushGen is one group-commit generation. Everyone whose record entered the
 // buffer before the seal waits on done; err carries the sink write verdict
 // (set before done is closed), so a failed flush aborts every commit it
@@ -191,33 +187,17 @@ func (l *Log) Policy() SyncPolicy {
 	return l.policy
 }
 
-// Append encodes one commit record covering n row writes and waits according
-// to the sync policy. It is safe for concurrent use. The returned error is
-// the durability verdict: non-nil means the record is not known durable and
-// the caller's commit must not be acknowledged.
-func (l *Log) Append(n int) error {
-	if l == nil {
-		return nil
-	}
-	var rec [recordHeaderSize]byte
-	binary.BigEndian.PutUint32(rec[8:12], uint32(n))
-	return l.append(rec[:], 0)
-}
-
-// recordMagic guards every payload frame so that replay can tell a torn or
-// corrupt tail from a valid record.
+// recordMagic guards every frame so that replay can tell a torn or corrupt
+// tail from a valid record.
 const recordMagic = 0xB7
 
-// payloadHeaderSize is the encoded size of one payload frame header:
-// magic (1) + reserved (3) + sequence (8) + payload length (4) + FNV-32a (4).
-const payloadHeaderSize = 20
+// PayloadHeaderSize is the encoded size of one frame header: magic (1) +
+// reserved (3) + sequence (8) + payload length (4) + FNV-32a (4). The crash
+// harness uses it to locate payload bytes inside a captured sink image when
+// picking kill points that tear specific record kinds.
+const PayloadHeaderSize = 20
 
-// PayloadHeaderSize is the frame-header size of AppendRecord framing. The
-// crash harness uses it to locate payload bytes inside a captured sink image
-// when picking kill points that tear specific record kinds.
-const PayloadHeaderSize = payloadHeaderSize
-
-// Record is one decoded payload frame.
+// Record is one decoded frame.
 type Record struct {
 	// Seq is the append sequence number (1-based, consecutive).
 	Seq uint64
@@ -225,22 +205,48 @@ type Record struct {
 	Payload []byte
 }
 
-// AppendRecord writes one framed, checksummed payload record and waits for
-// durability per the sync policy, exactly like Append. Logs written with
-// AppendRecord can be replayed with ReadRecords; the two framings must not be
-// mixed in one log.
+// AppendRecord writes one framed, checksummed record and waits for
+// durability per the sync policy. It is safe for concurrent use. The
+// returned error is the durability verdict: non-nil means the record is not
+// known durable and the caller's commit must not be acknowledged. The log
+// replays with ReadRecords.
 func (l *Log) AppendRecord(payload []byte) error {
 	if l == nil {
 		return nil
 	}
-	frame := make([]byte, payloadHeaderSize+len(payload))
-	frame[0] = recordMagic
-	binary.BigEndian.PutUint32(frame[12:16], uint32(len(payload)))
-	h := fnv.New32a()
-	h.Write(payload)
-	binary.BigEndian.PutUint32(frame[16:20], h.Sum32())
-	copy(frame[payloadHeaderSize:], payload)
-	return l.append(frame, 4)
+	f := frame(payload)
+	l.mu.Lock()
+	if _, err := l.enqueueLocked(f); err != nil || l.policy != SyncGroup {
+		l.mu.Unlock()
+		return err // SyncNone wrote through; SyncAsync's flusher drains the buffer
+	}
+	g := l.gen
+	if g.count.Add(1) == 2 {
+		close(g.grown) // wake the backstop leader's straggler watch
+	}
+	deadline := l.lastSeal.Add(l.interval)
+	if !time.Now().Before(deadline) {
+		// This append crossed the flush deadline: seal inline and become
+		// the generation's writer, with no pacing at all.
+		l.sealLocked()
+		l.mu.Unlock()
+		l.complete(g)
+		return g.err
+	}
+	lead := !g.paced
+	if lead {
+		g.paced = true
+	}
+	l.mu.Unlock()
+
+	if lead {
+		return l.lead(g, deadline)
+	}
+	// Close seals and completes the open generation and every sealed one
+	// has a writer, so done always closes; only its verdict may acknowledge
+	// the record.
+	<-g.done
+	return g.err
 }
 
 // AppendRecordAsync writes one framed record like AppendRecord but never
@@ -256,40 +262,48 @@ func (l *Log) AppendRecordAsync(payload []byte) (uint64, error) {
 	if l == nil {
 		return 0, nil
 	}
-	frame := make([]byte, payloadHeaderSize+len(payload))
-	frame[0] = recordMagic
-	binary.BigEndian.PutUint32(frame[12:16], uint32(len(payload)))
+	f := frame(payload)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.enqueueLocked(f)
+}
+
+// frame encodes payload as one checksummed frame; enqueueLocked stamps its
+// sequence field.
+func frame(payload []byte) []byte {
+	f := make([]byte, PayloadHeaderSize+len(payload))
+	f[0] = recordMagic
+	binary.BigEndian.PutUint32(f[12:16], uint32(len(payload)))
 	h := fnv.New32a()
 	h.Write(payload)
-	binary.BigEndian.PutUint32(frame[16:20], h.Sum32())
-	copy(frame[payloadHeaderSize:], payload)
+	binary.BigEndian.PutUint32(f[16:20], h.Sum32())
+	copy(f[PayloadHeaderSize:], payload)
+	return f
+}
 
-	l.mu.Lock()
-	if err := l.failErr; err != nil {
-		l.mu.Unlock()
-		return 0, err
+// enqueueLocked stamps f with the next sequence number and hands it to the
+// policy: SyncNone writes it through, and the write's verdict is the
+// caller's; SyncAsync and SyncGroup append it to the open generation's
+// buffer. Stamping under l.mu keeps buffer order and sequence order equal
+// (the checksum covers only the payload, so late stamping is safe). Callers
+// hold l.mu.
+func (l *Log) enqueueLocked(f []byte) (uint64, error) {
+	if l.failErr != nil {
+		return 0, l.failErr
 	}
 	seq := l.seq.Add(1)
-	binary.BigEndian.PutUint64(frame[4:12], seq)
+	binary.BigEndian.PutUint64(f[4:12], seq)
 	if l.policy == SyncNone {
-		// Write through, as AppendRecord would: the verdict is synchronous.
-		err := writeAll(l.w, frame)
-		l.failErr = err
-		if err == nil {
-			l.durable.Store(seq)
-		}
-		l.mu.Unlock()
-		if err != nil {
+		if err := writeAll(l.w, f); err != nil {
+			l.failErr = err
 			return 0, err
 		}
+		l.durable.Store(seq)
+		l.bytes.Add(uint64(len(f)))
 	} else {
-		l.buf = append(l.buf, frame...)
-		l.mu.Unlock()
+		l.buf = append(l.buf, f...)
 	}
 	l.records.Add(1)
-	if l.policy == SyncNone {
-		l.bytes.Add(uint64(len(frame)))
-	}
 	return seq, nil
 }
 
@@ -322,82 +336,6 @@ func (l *Log) DurableLSN() uint64 {
 		return 0
 	}
 	return l.durable.Load()
-}
-
-// append routes one encoded record through the configured sync policy.
-// seqOff is the header offset of the 8-byte sequence field, stamped under
-// l.mu so that buffer order and sequence order always agree (the checksum
-// covers only the payload, so late stamping is safe).
-func (l *Log) append(rec []byte, seqOff int) error {
-	if l.policy != SyncGroup {
-		if l.policy == SyncNone {
-			// Write through; nothing batches and nobody waits, but the
-			// write's verdict is the caller's durability verdict.
-			l.mu.Lock()
-			err := l.failErr
-			if err == nil {
-				seq := l.seq.Add(1)
-				binary.BigEndian.PutUint64(rec[seqOff:seqOff+8], seq)
-				err = writeAll(l.w, rec)
-				l.failErr = err
-				if err == nil {
-					l.durable.Store(seq)
-				}
-			}
-			l.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			l.records.Add(1)
-			l.bytes.Add(uint64(len(rec)))
-			return nil
-		}
-		l.mu.Lock()
-		err := l.failErr
-		if err == nil {
-			binary.BigEndian.PutUint64(rec[seqOff:seqOff+8], l.seq.Add(1))
-			l.buf = append(l.buf, rec...)
-			l.records.Add(1)
-		}
-		l.mu.Unlock()
-		return err // SyncAsync: the background flusher drains the buffer
-	}
-
-	l.mu.Lock()
-	if err := l.failErr; err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	binary.BigEndian.PutUint64(rec[seqOff:seqOff+8], l.seq.Add(1))
-	l.buf = append(l.buf, rec...)
-	l.records.Add(1)
-	g := l.gen
-	if g.count.Add(1) == 2 {
-		close(g.grown) // wake the backstop leader's straggler watch
-	}
-	deadline := l.lastSeal.Add(l.interval)
-	if !time.Now().Before(deadline) {
-		// This append crossed the flush deadline: seal inline and become
-		// the generation's writer, with no pacing at all.
-		l.sealLocked()
-		l.mu.Unlock()
-		l.complete(g)
-		return g.err
-	}
-	lead := !g.paced
-	if lead {
-		g.paced = true
-	}
-	l.mu.Unlock()
-
-	if lead {
-		return l.lead(g, deadline)
-	}
-	// Close seals and completes the open generation and every sealed one
-	// has a writer, so done always closes; only its verdict may acknowledge
-	// the record.
-	<-g.done
-	return g.err
 }
 
 // leadSpinWindow bounds how much of the lone leader's interval wait runs as
@@ -570,7 +508,9 @@ func (l *Log) Close() {
 	l.flushNow()
 }
 
-// Records returns the number of appended commit records.
+// Records returns the number of appended records: one commit record per
+// writing RAM commit; update, commit and checkpoint records alike on a disk
+// engine.
 func (l *Log) Records() uint64 {
 	if l == nil {
 		return 0
@@ -623,20 +563,20 @@ func ScanRecords(data []byte) ([]Record, int, error) {
 	off := 0
 	var lastSeq uint64
 	for off < len(data) {
-		if len(data)-off < payloadHeaderSize {
+		if len(data)-off < PayloadHeaderSize {
 			return recs, off, ErrTorn
 		}
-		hdr := data[off : off+payloadHeaderSize]
+		hdr := data[off : off+PayloadHeaderSize]
 		if hdr[0] != recordMagic {
 			return recs, off, fmt.Errorf("wal: bad record magic 0x%02x at offset %d", hdr[0], off)
 		}
 		seq := binary.BigEndian.Uint64(hdr[4:12])
 		plen := int(binary.BigEndian.Uint32(hdr[12:16]))
 		sum := binary.BigEndian.Uint32(hdr[16:20])
-		if len(data)-off-payloadHeaderSize < plen {
+		if len(data)-off-PayloadHeaderSize < plen {
 			return recs, off, ErrTorn
 		}
-		payload := data[off+payloadHeaderSize : off+payloadHeaderSize+plen]
+		payload := data[off+PayloadHeaderSize : off+PayloadHeaderSize+plen]
 		h := fnv.New32a()
 		h.Write(payload)
 		if h.Sum32() != sum {
@@ -647,7 +587,7 @@ func ScanRecords(data []byte) ([]Record, int, error) {
 		}
 		lastSeq = seq
 		recs = append(recs, Record{Seq: seq, Payload: payload})
-		off += payloadHeaderSize + plen
+		off += PayloadHeaderSize + plen
 	}
 	return recs, off, nil
 }

@@ -9,10 +9,19 @@ import (
 	"time"
 )
 
+// commitFrameSize is the sink footprint of one commit record.
+var commitFrameSize = PayloadHeaderSize + len(EncodeCommit(0))
+
+// appendCommit logs the commit record of transaction id, as an engine does.
+func appendCommit(l *Log, id uint64) error { return l.AppendRecord(EncodeCommit(id)) }
+
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
-	if err := l.Append(3); err != nil {
+	if err := appendCommit(l, 3); err != nil {
 		t.Fatal(err)
+	}
+	if seq, err := l.AppendRecordAsync(EncodeCommit(3)); seq != 0 || err != nil {
+		t.Fatalf("nil async append: seq=%d err=%v", seq, err)
 	}
 	l.Close()
 	if l.Records() != 0 || l.Flushes() != 0 || l.Bytes() != 0 {
@@ -28,7 +37,7 @@ func TestSyncNoneNeverWaits(t *testing.T) {
 	defer l.Close()
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
-		l.Append(1)
+		appendCommit(l, uint64(i))
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Fatalf("SyncNone appends took %v", d)
@@ -52,10 +61,10 @@ func TestSyncGroupFlushesAndReleases(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
-		go func() {
+		go func(id uint64) {
 			defer wg.Done()
-			l.Append(2)
-		}()
+			appendCommit(l, id)
+		}(uint64(i))
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -75,8 +84,8 @@ func TestSyncGroupFlushesAndReleases(t *testing.T) {
 	mu.Lock()
 	n := buf.Len()
 	mu.Unlock()
-	if n != 20*recordHeaderSize {
-		t.Fatalf("flushed bytes = %d, want %d", n, 20*recordHeaderSize)
+	if n != 20*commitFrameSize {
+		t.Fatalf("flushed bytes = %d, want %d", n, 20*commitFrameSize)
 	}
 }
 
@@ -84,13 +93,13 @@ func TestSyncAsyncDoesNotBlock(t *testing.T) {
 	l := New(Options{Policy: SyncAsync, GroupInterval: time.Millisecond})
 	start := time.Now()
 	for i := 0; i < 100; i++ {
-		l.Append(1)
+		appendCommit(l, uint64(i))
 	}
 	if d := time.Since(start); d > 50*time.Millisecond {
 		t.Fatalf("SyncAsync appends blocked: %v", d)
 	}
 	l.Close() // final flush
-	if l.Bytes() != 100*recordHeaderSize {
+	if l.Bytes() != uint64(100*commitFrameSize) {
 		t.Fatalf("bytes = %d", l.Bytes())
 	}
 }
@@ -153,7 +162,7 @@ func TestGroupCommitWriteErrorPropagates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- l.Append(1)
+			errs <- appendCommit(l, 1)
 		}()
 	}
 	wg.Wait()
@@ -164,7 +173,7 @@ func TestGroupCommitWriteErrorPropagates(t *testing.T) {
 		}
 	}
 	// The device failure is sticky: later appends fail immediately.
-	if err := l.Append(1); err == nil {
+	if err := appendCommit(l, 1); err == nil {
 		t.Fatal("append succeeded on a failed log")
 	}
 }
@@ -190,7 +199,7 @@ func TestCloseWaitsForWaiterVerdict(t *testing.T) {
 
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		go func() { errs <- l.Append(1) }()
+		go func() { errs <- appendCommit(l, 1) }()
 	}
 	<-held // both records sealed into one generation; its write is parked
 	closed := make(chan struct{})
@@ -218,15 +227,15 @@ func TestCloseWaitsForWaiterVerdict(t *testing.T) {
 // must refuse all further appends.
 func TestSyncNoneWriteErrorFailsAppend(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(Options{Policy: SyncNone, W: failAfter(recordHeaderSize+4, &buf)})
+	l := New(Options{Policy: SyncNone, W: failAfter(commitFrameSize+4, &buf)})
 	defer l.Close()
-	if err := l.Append(1); err != nil {
+	if err := appendCommit(l, 1); err != nil {
 		t.Fatalf("first append: %v", err)
 	}
-	if err := l.Append(1); err == nil {
+	if err := appendCommit(l, 2); err == nil {
 		t.Fatal("append with torn write acknowledged")
 	}
-	if err := l.Append(1); err == nil {
+	if err := appendCommit(l, 3); err == nil {
 		t.Fatal("append on failed log acknowledged")
 	}
 	if got := l.Records(); got != 1 {
@@ -277,7 +286,7 @@ func TestReadRecordsTornTail(t *testing.T) {
 	}
 	l.Close()
 	whole := buf.Bytes()
-	firstLen := payloadHeaderSize + len("first")
+	firstLen := PayloadHeaderSize + len("first")
 	for cut := firstLen; cut < len(whole); cut++ {
 		recs, err := ReadRecords(bytes.NewReader(whole[:cut]))
 		if cut == firstLen {
@@ -303,7 +312,7 @@ func TestReadRecordsRejectsCorruption(t *testing.T) {
 	}
 	l.Close()
 	img := append([]byte(nil), buf.Bytes()...)
-	img[payloadHeaderSize+3] ^= 0x40 // flip one payload bit
+	img[PayloadHeaderSize+3] ^= 0x40 // flip one payload bit
 	if _, err := ReadRecords(bytes.NewReader(img)); err == nil {
 		t.Fatal("corrupted record replayed without error")
 	}

@@ -81,20 +81,21 @@ go test -race -count=1 -run 'TestSynthRoundTrip|TestScheduleConformance' ./inter
 
 echo "==> isolation conformance & crash recovery (-race, fixed seed)"
 # Deterministic differential-oracle harness for the three personalities plus
-# the WAL kill-point sweep. CONSISTENCY_SEED=<n> reseeds the run; add
-# -consistency.long for the ~10x soak shape.
+# both arms of the crash kill sweep. CONSISTENCY_SEED=<n> reseeds the run;
+# add -consistency.long for the ~10x soak shape.
 go test -race -count=1 ./internal/consistency/
 
-echo "==> disk full-recovery torture (-race): kill sweep over WAL + page writes"
-# The disk-backed engine's durability gate: one byte budget meters WAL
-# appends and heap page flushes together, and the sweep kills the stream at
-# >= 15 points — evenly spaced, mid-WAL-frame, mid-page-flush, and
-# mid-checkpoint tears. Every kill must recover to an image honoring
-# acked <= winners <= acked+uncertain byte-exactly, with every device page
+echo "==> crash-recovery torture (-race): one kill sweep over the metered devices"
+# The durability gate: one byte budget meters every durable write — the WAL
+# of a RAM engine (MVCC, write-through and group commit), or WAL appends and
+# heap page flushes together on the disk engine — and the sweep kills the
+# stream at >= 15 points: evenly spaced, mid-WAL-frame and, on disk,
+# mid-page-flush and mid-checkpoint tears. Every kill must recover to
+# acked <= winners <= acked+uncertain; on disk, byte-exact rows, every page
 # passing Verify and the recovered engine passing the conformance oracle.
 # Named explicitly (it also runs in the package pass above) so a durability
 # regression names itself here.
-go test -race -count=1 -run 'TestDiskCrash' ./internal/consistency/
+go test -race -count=1 -run 'Crash' ./internal/consistency/
 
 echo "==> go test -race storage stress (striped store + online vacuum)"
 go test -race -count=1 -run 'TestStorageStressConcurrent' ./internal/sqldb/txn/
