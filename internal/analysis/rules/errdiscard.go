@@ -2,7 +2,6 @@ package rules
 
 import (
 	"go/ast"
-	"strings"
 
 	"benchpress/internal/analysis"
 )
@@ -34,35 +33,37 @@ func (ErrorDiscard) Doc() string {
 
 // Check implements analysis.Rule.
 func (ErrorDiscard) Check(pass *analysis.Pass) {
-	rel := pass.RelPath()
-	if !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") {
+	if !inInternalOrCmd(pass.RelPath()) {
 		return
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var call *ast.CallExpr
-			var how string
-			switch s := n.(type) {
-			case *ast.ExprStmt:
-				if c, ok := s.X.(*ast.CallExpr); ok {
-					call, how = c, "discarded"
-				}
-			case *ast.DeferStmt:
-				call, how = s.Call, "discarded by defer"
-			case *ast.GoStmt:
-				call, how = s.Call, "discarded by go statement"
-			}
-			if call == nil {
-				return true
-			}
+		implicitDiscards(f, func(call *ast.CallExpr, how string) {
 			name := calleeName(call)
 			if discardNames[name] && returnsError(info, call) {
 				pass.Report(call.Pos(),
 					"error returned by %s is silently %s; handle it or assign it to _ explicitly",
 					name, how)
 			}
-			return true
 		})
 	}
+}
+
+// implicitDiscards calls fn for every call under root whose results are
+// dropped without a word: a bare expression statement, a defer, or a go
+// statement. how names the form for the message.
+func implicitDiscards(root ast.Node, fn func(call *ast.CallExpr, how string)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.ExprStmt:
+			if c, ok := s.X.(*ast.CallExpr); ok {
+				fn(c, "discarded")
+			}
+		case *ast.DeferStmt:
+			fn(s.Call, "discarded by defer")
+		case *ast.GoStmt:
+			fn(s.Call, "discarded by go statement")
+		}
+		return true
+	})
 }

@@ -3,7 +3,6 @@ package rules
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"benchpress/internal/analysis"
 	"benchpress/internal/analysis/callgraph"
@@ -37,20 +36,11 @@ func (ErrorSink) Doc() string {
 // CheckProgram implements analysis.ProgramRule.
 func (ErrorSink) CheckProgram(pass *analysis.ProgramPass) {
 	prog := pass.Prog
-	for {
-		changed := false
-		for _, n := range prog.Graph.Nodes() {
-			if wrapsSinkError(prog, n) && prog.Facts.Export(n.Func, factErrSink, uint64(1)) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	solve(prog, func(n *callgraph.Node) bool {
+		return wrapsSinkError(prog, n) && prog.Facts.Export(n.Func, factErrSink, uint64(1))
+	})
 	for _, n := range prog.Graph.Nodes() {
-		rel := prog.RelPath(n.Path)
-		if strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/") {
+		if inInternalOrCmd(prog.RelPath(n.Path)) {
 			flagSinkDiscards(pass, n)
 		}
 	}
@@ -201,34 +191,18 @@ func wrapsSinkError(prog *analysis.Program, n *callgraph.Node) bool {
 func flagSinkDiscards(pass *analysis.ProgramPass, n *callgraph.Node) {
 	prog := pass.Prog
 	info := n.Info
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		var call *ast.CallExpr
-		var how string
-		switch s := m.(type) {
-		case *ast.ExprStmt:
-			if c, ok := s.X.(*ast.CallExpr); ok {
-				call, how = c, "discarded"
-			}
-		case *ast.DeferStmt:
-			call, how = s.Call, "discarded by defer"
-		case *ast.GoStmt:
-			call, how = s.Call, "discarded by go statement"
-		}
-		if call == nil {
-			return true
-		}
+	implicitDiscards(n.Decl.Body, func(call *ast.CallExpr, how string) {
 		name := calleeName(call)
 		if discardNames[name] || !returnsError(info, call) {
-			return true
+			return
 		}
 		for _, callee := range prog.Graph.Resolve(call) {
 			if prog.Facts.Bits(callee, factErrSink) != 0 {
 				pass.Report(call.Pos(),
 					"error returned by %s is silently %s, but %s forwards a database error (Commit/Exec/Flush and friends) from its callees; handle it or assign it to _ explicitly",
 					name, how, name)
-				break
+				return
 			}
 		}
-		return true
 	})
 }

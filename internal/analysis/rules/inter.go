@@ -1,8 +1,10 @@
 package rules
 
-// Shared plumbing for the interprocedural rules (txn-hygiene, latch-order,
-// error-sink): resolving expressions to their root objects and mapping
-// per-parameter fact bitsets between a callee's declaration and a call site.
+// Shared plumbing for the interprocedural rules (the obligation analysis
+// behind txn-hygiene, pin-leak and prepared-stmt-leak, plus latch-order and
+// error-sink): the summary fixpoint, resolving expressions to their root
+// objects, and mapping per-parameter fact bitsets between a callee's
+// declaration and a call site.
 //
 // The parameter bit layout is unified across rules: bit 0 is the receiver
 // (never set for plain functions), bit i+1 is the i-th declared parameter.
@@ -11,7 +13,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"benchpress/internal/analysis"
+	"benchpress/internal/analysis/callgraph"
 )
+
+// solve runs step over every call-graph node, round after round, until a
+// whole round reports no fact change. step reports whether it grew a fact;
+// facts must grow monotonically for the loop to terminate.
+func solve(prog *analysis.Program, step func(n *callgraph.Node) bool) {
+	for changed := true; changed; {
+		changed = false
+		for _, n := range prog.Graph.Nodes() {
+			if step(n) {
+				changed = true
+			}
+		}
+	}
+}
 
 // rootObj resolves the base identifier of an lvalue-ish expression —
 // x, x.f, x.f[i], (*x).f, &x.f — to the object x refers to. It returns nil

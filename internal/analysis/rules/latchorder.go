@@ -66,23 +66,15 @@ func (LatchOrder) Doc() string {
 // CheckProgram implements analysis.ProgramRule.
 func (LatchOrder) CheckProgram(pass *analysis.ProgramPass) {
 	prog := pass.Prog
-	for {
-		changed := false
-		for _, n := range prog.Graph.Nodes() {
-			bits := directLatchAcquires(n.Info, n.Decl.Body)
-			for _, e := range n.Out {
-				for _, callee := range e.Callees {
-					bits |= prog.Facts.Bits(callee, factLatchAcquires)
-				}
-			}
-			if prog.Facts.ExportBits(n.Func, factLatchAcquires, bits) {
-				changed = true
+	solve(prog, func(n *callgraph.Node) bool {
+		bits := directLatchAcquires(n.Info, n.Decl.Body)
+		for _, e := range n.Out {
+			for _, callee := range e.Callees {
+				bits |= prog.Facts.Bits(callee, factLatchAcquires)
 			}
 		}
-		if !changed {
-			break
-		}
-	}
+		return prog.Facts.ExportBits(n.Func, factLatchAcquires, bits)
+	})
 	for _, n := range prog.Graph.Nodes() {
 		checkLatchBody(pass, n, n.Decl.Body)
 		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {

@@ -7,6 +7,7 @@ package rules
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"benchpress/internal/analysis"
 )
@@ -49,6 +50,13 @@ func calleeName(call *ast.CallExpr) string {
 		return f.Sel.Name
 	}
 	return ""
+}
+
+// inInternalOrCmd reports whether a module-relative package path lies under
+// internal/ or cmd/, the layers the error and statement rules bind;
+// examples and tools are exempt.
+func inInternalOrCmd(rel string) bool {
+	return strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")
 }
 
 // errorType is the predeclared error interface.

@@ -39,6 +39,16 @@ var fixtureCases = []struct {
 }
 
 func TestRuleFixtures(t *testing.T) {
+	// A rule added to All() without an entry here would be silently untested.
+	covered := map[string]bool{}
+	for _, tc := range fixtureCases {
+		covered[tc.rule.Name()] = true
+	}
+	for _, r := range rules.All() {
+		if !covered[r.Name()] {
+			t.Errorf("rule %s has no single-file fixtures in fixtureCases", r.Name())
+		}
+	}
 	for _, tc := range fixtureCases {
 		tc := tc
 		t.Run(tc.rule.Name(), func(t *testing.T) {

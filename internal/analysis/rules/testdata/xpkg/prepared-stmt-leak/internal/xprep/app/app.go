@@ -20,3 +20,22 @@ func closed(c *driver.Conn) error {
 	defer func() { _ = st.Close() }()
 	return st.Exec()
 }
+
+// closedByHelper settles the statement through a helper in another package.
+func closedByHelper(c *driver.Conn) error {
+	st, err := c.Prepare("select 1")
+	if err != nil {
+		return err
+	}
+	defer driver.Release(st)
+	return st.Exec()
+}
+
+// leakViaHelper gets an open statement from a helper and never closes it.
+func leakViaHelper(c *driver.Conn) error {
+	st, err := driver.Open(c) // want "never closed"
+	if err != nil {
+		return err
+	}
+	return st.Exec()
+}

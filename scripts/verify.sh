@@ -28,7 +28,8 @@ fi
 echo "==> benchlint -diff vs merge base (fast gate)"
 # Lint only the packages changed since the merge base, plus their reverse
 # dependencies — quick feedback before the expensive gates. Override the
-# base with BENCHLINT_DIFF_BASE; the full tree is linted in the race gate.
+# base with BENCHLINT_DIFF_BASE; the full tree is linted after the bench
+# module's tests, before the race passes.
 BASE=${BENCHLINT_DIFF_BASE:-origin/main}
 if ! git rev-parse -q --verify "$BASE" >/dev/null 2>&1; then
     BASE=main
@@ -45,9 +46,8 @@ go test ./...
 echo "==> bench module tests (root go test does not descend into bench/)"
 (cd bench && go vet ./... && go test ./...)
 
-echo "==> benchlint ./... (full tree, incl. self-lint of internal/analysis)"
+echo "==> benchlint ./... (full tree; internal/analysis lints itself here)"
 go run ./cmd/benchlint ./...
-go run ./cmd/benchlint ./internal/analysis/...
 
 echo "==> benchlint hotpath-alloc (batch hot-path allocation gate)"
 # Explicit pass of the interprocedural allocation rule over the tree the
