@@ -193,16 +193,12 @@ func (s *liveState) snapshot() []game.TickRecord {
 	return out
 }
 
-// serveUI mounts the control API under /api/, the game endpoints, and the
-// single-file UI.
+// serveUI mounts the control API at its canonical paths (/api/v1/ and
+// /metrics), the game endpoints, and the single-file UI.
 func serveUI(addr string, srv *api.Server, gm *game.Game, state *liveState) {
 	mux := http.NewServeMux()
-	// Versioned API and the Prometheus endpoint mount at their canonical
-	// paths; the StripPrefix mount keeps the legacy flat routes (/api/status,
-	// /api/rate, ...) the UI's fallbacks still use.
 	mux.Handle("/api/v1/", srv.Handler())
 	mux.Handle("/metrics", srv.Handler())
-	mux.Handle("/api/", http.StripPrefix("/api", srv.Handler()))
 	mux.HandleFunc("GET /game/state", func(w http.ResponseWriter, r *http.Request) {
 		type point struct {
 			Lo, Hi            float64

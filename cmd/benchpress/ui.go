@@ -34,28 +34,22 @@ let course = [], ticks = [], maxY = 1;
 
 function jump() { fetch('/game/jump', {method:'POST', body: JSON.stringify({delta: 150})}); }
 
-// The v1 API addresses workloads by name; resolve it once, then follow the
-// live SSE window stream for per-window percentiles.
+// The v1 API addresses workloads by name; resolve it once (poll retries
+// until it succeeds), then follow the live SSE window stream for
+// per-window percentiles.
 let wl = null, lastWin = null;
-async function init() {
-  try {
-    const ls = await (await fetch('/api/v1/workloads')).json();
-    if (ls.workloads && ls.workloads.length) {
-      wl = ls.workloads[0].name;
-      const es = new EventSource('/api/v1/workloads/' + wl + '/stream');
-      es.addEventListener('window', e => { lastWin = JSON.parse(e.data); });
-    }
-  } catch (e) { /* legacy flat routes remain as fallback */ }
+async function resolveWorkload() {
+  const ls = await (await fetch('/api/v1/workloads')).json();
+  if (!ls.workloads || !ls.workloads.length) throw 'no workload registered';
+  wl = ls.workloads[0].name;
+  const es = new EventSource('/api/v1/workloads/' + wl + '/stream');
+  es.addEventListener('window', e => { lastWin = JSON.parse(e.data); });
 }
-init();
 
 function mixture(preset) {
-  if (wl) {
-    fetch('/api/v1/workloads/' + wl + '/mixture', {method:'POST',
-      headers: {'Content-Type': 'application/json'}, body: JSON.stringify({preset: preset})});
-  } else {
-    fetch('/api/mixture', {method:'POST', body: JSON.stringify({preset: preset})});
-  }
+  if (!wl) return;
+  fetch('/api/v1/workloads/' + wl + '/mixture', {method:'POST',
+    headers: {'Content-Type': 'application/json'}, body: JSON.stringify({preset: preset})});
 }
 document.addEventListener('keydown', e => { if (e.code === 'Space') { e.preventDefault(); jump(); } });
 
@@ -110,8 +104,8 @@ async function poll() {
   try {
     const gs = await (await fetch('/game/state')).json();
     course = gs.course || []; ticks = gs.ticks || [];
-    const stURL = wl ? '/api/v1/workloads/' + wl : '/api/status';
-    const st = await (await fetch(stURL)).json();
+    if (!wl) await resolveWorkload();
+    const st = await (await fetch('/api/v1/workloads/' + wl)).json();
     let txt = 'DBMS ' + st.dbms + '  benchmark ' + st.benchmark +
       '\nmeasured ' + st.tps.toFixed(0) + ' tps   target ' + gs.target.toFixed(0) +
       ' tps   avg latency ' + st.avg_latency_ms.toFixed(2) + ' ms' +

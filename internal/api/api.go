@@ -21,11 +21,12 @@
 //
 // In coordinator mode the server additionally exposes the cluster resource
 // (worker registration, merged status/stream, aggregate rate/mixture fan-out)
-// under /api/v1/cluster — see cluster.go for the endpoint table.
+// under /api/v1/cluster — see cluster.go for the endpoint table. A workload's
+// stream and the merged cluster stream are one SSE loop over a
+// stats.Collector (stream.go).
 //
-// The original flat routes (/status, /rate, ...) remain as deprecated thin
-// aliases; they answer with a Deprecation header pointing at the v1 resource.
-// All errors share one envelope: {"error":{"code":"...","message":"..."}}.
+// Routes() is the only route table. All errors share one envelope:
+// {"error":{"code":"...","message":"..."}}.
 package api
 
 import (
@@ -130,26 +131,6 @@ func (s *Server) Managers() []*core.Manager {
 		out[i] = s.workloads[n]
 	}
 	return out
-}
-
-// lookup resolves a workload by name; an empty name resolves when exactly
-// one workload is registered.
-func (s *Server) lookup(name string) (*core.Manager, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if name == "" {
-		if len(s.workloads) == 1 {
-			for _, m := range s.workloads {
-				return m, nil
-			}
-		}
-		return nil, fmt.Errorf("api: workload name required (registered: %d)", len(s.workloads))
-	}
-	m, ok := s.workloads[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("api: unknown workload %q", name)
-	}
-	return m, nil
 }
 
 // StatusResponse is the workload status payload.
@@ -375,12 +356,14 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // pathWorkload resolves the {name} path value, writing the 404 itself.
 func (s *Server) pathWorkload(w http.ResponseWriter, r *http.Request) (*core.Manager, bool) {
-	m, err := s.lookup(r.PathValue("name"))
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "not_found", err)
-		return nil, false
+	name := r.PathValue("name")
+	s.mu.RLock()
+	m, ok := s.workloads[strings.ToLower(name)]
+	s.mu.RUnlock()
+	if !ok {
+		writeErr(w, http.StatusNotFound, "not_found", fmt.Errorf("api: unknown workload %q", name))
 	}
-	return m, true
+	return m, ok
 }
 
 // ---- v1 resource handlers ----
@@ -463,7 +446,7 @@ func (s *Server) v1Windows(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, windowPoints(m))
+	writeJSON(w, http.StatusOK, windowPoints(m.Collector()))
 }
 
 // RateState is the GET/POST .../rate payload.
@@ -537,9 +520,12 @@ func (s *Server) v1SetMixture(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if !s.applyMixture(w, m, req) {
+	mix, err := mixtureWeights(req, func(readonly bool) ([]float64, error) { return presetOf(m, readonly) })
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
+	m.SetMix(mix)
 	writeJSON(w, http.StatusOK, mixtureState(m))
 }
 
@@ -600,9 +586,11 @@ func pointOf(win stats.Window, dur time.Duration) WindowPoint {
 	}
 }
 
-func windowPoints(m *core.Manager) []WindowPoint {
-	windows := m.Collector().Windows()
-	dur := m.Collector().WindowDuration()
+// windowPoints renders a collector's finalized windows: a workload's, or the
+// cluster's merged feed.
+func windowPoints(c *stats.Collector) []WindowPoint {
+	windows := c.Windows()
+	dur := c.WindowDuration()
 	out := make([]WindowPoint, 0, len(windows))
 	for _, win := range windows {
 		out = append(out, pointOf(win, dur))
@@ -612,7 +600,6 @@ func windowPoints(m *core.Manager) []WindowPoint {
 
 // rateRequest is the set-rate payload.
 type rateRequest struct {
-	Workload  string  `json:"workload"` // legacy flat route only
 	TPS       float64 `json:"tps"`
 	Unlimited bool    `json:"unlimited"`
 }
@@ -620,9 +607,8 @@ type rateRequest struct {
 // mixtureRequest is the set-mixture payload: explicit weights or a named
 // preset ("default", "readonly", "writeheavy").
 type mixtureRequest struct {
-	Workload string    `json:"workload"` // legacy flat route only
-	Weights  []float64 `json:"weights"`
-	Preset   string    `json:"preset"`
+	Weights []float64 `json:"weights"`
+	Preset  string    `json:"preset"`
 }
 
 // PresetMixer is implemented by benchmarks that provide the game's preset
@@ -632,39 +618,38 @@ type PresetMixer interface {
 	WriteHeavyMix() []float64
 }
 
-// applyMixture validates and applies a mixture request, writing the error
-// response itself on failure.
-func (s *Server) applyMixture(w http.ResponseWriter, m *core.Manager, req mixtureRequest) bool {
+// mixtureWeights resolves a mixture request to the weights to install, nil
+// meaning the benchmark default. It is the one validator of both mixture
+// routes: explicit weights must be non-empty, non-negative and not all zero,
+// since the sampler runs only the first procedure of a zero-sum mixture.
+// preset resolves the read-only and write-heavy presets; it is nil where the
+// benchmark is not at hand (the cluster route).
+func mixtureWeights(req mixtureRequest, preset func(readonly bool) ([]float64, error)) ([]float64, error) {
 	switch strings.ToLower(req.Preset) {
 	case "", "custom":
-		if req.Weights == nil {
-			writeErr(w, http.StatusBadRequest, "bad_request",
-				fmt.Errorf("api: weights required without a preset"))
-			return false
+		var sum float64
+		for i, wt := range req.Weights {
+			if wt < 0 {
+				return nil, fmt.Errorf("api: mixture weight %d must be non-negative, got %v", i, wt)
+			}
+			sum += wt
 		}
-		m.SetMix(req.Weights)
+		if sum <= 0 {
+			return nil, fmt.Errorf("api: mixture needs a positive weight or a preset, got %v", req.Weights)
+		}
+		return req.Weights, nil
 	case "default":
-		m.SetMix(nil)
+		return nil, nil
 	case "readonly", "read-only":
-		mix, err := presetOf(m, true)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", err)
-			return false
+		if preset != nil {
+			return preset(true)
 		}
-		m.SetMix(mix)
 	case "writeheavy", "super-writes", "write-heavy":
-		mix, err := presetOf(m, false)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", err)
-			return false
+		if preset != nil {
+			return preset(false)
 		}
-		m.SetMix(mix)
-	default:
-		writeErr(w, http.StatusBadRequest, "bad_request",
-			fmt.Errorf("api: unknown preset %q", req.Preset))
-		return false
 	}
-	return true
+	return nil, fmt.Errorf("api: unknown preset %q", req.Preset)
 }
 
 // presetOf resolves a benchmark's preset mixture, deriving one from the
@@ -700,117 +685,4 @@ func presetName(readonly bool) string {
 		return "read-only"
 	}
 	return "write-heavy"
-}
-
-// ---- deprecated flat aliases ----
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	m, err := s.lookup(r.URL.Query().Get("workload"))
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "not_found", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.snapshotToResponse(m))
-}
-
-func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	out := []StatusResponse{}
-	for _, m := range s.Managers() {
-		out = append(out, s.snapshotToResponse(m))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleWindows(w http.ResponseWriter, r *http.Request) {
-	m, err := s.lookup(r.URL.Query().Get("workload"))
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "not_found", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, windowPoints(m))
-}
-
-func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
-	var req rateRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	m, err := s.lookup(req.Workload)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "not_found", err)
-		return
-	}
-	if req.Unlimited {
-		m.SetRate(0)
-	} else {
-		m.SetRate(req.TPS)
-	}
-	writeJSON(w, http.StatusOK, s.snapshotToResponse(m))
-}
-
-func (s *Server) handleMixture(w http.ResponseWriter, r *http.Request) {
-	var req mixtureRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	m, err := s.lookup(req.Workload)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "not_found", err)
-		return
-	}
-	if !s.applyMixture(w, m, req) {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.snapshotToResponse(m))
-}
-
-type workloadRequest struct {
-	Workload string `json:"workload"`
-}
-
-func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
-	var req workloadRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	m, err := s.lookup(req.Workload)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "not_found", err)
-		return
-	}
-	m.Pause()
-	writeJSON(w, http.StatusOK, s.snapshotToResponse(m))
-}
-
-func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	var req workloadRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	m, err := s.lookup(req.Workload)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "not_found", err)
-		return
-	}
-	m.Resume()
-	writeJSON(w, http.StatusOK, s.snapshotToResponse(m))
-}
-
-func (s *Server) handleStartBenchmark(w http.ResponseWriter, r *http.Request) {
-	if s.StartWorkload == nil {
-		writeErr(w, http.StatusNotImplemented, "not_implemented",
-			fmt.Errorf("api: dynamic workload start not enabled"))
-		return
-	}
-	var req StartRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	m, err := s.StartWorkload(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	s.Add(m)
-	writeJSON(w, http.StatusOK, s.snapshotToResponse(m))
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,7 +103,7 @@ func TestStatusEndpoint(t *testing.T) {
 	defer cancel()
 	time.Sleep(1200 * time.Millisecond) // let a stats window complete
 	var st StatusResponse
-	getJSON(t, ts.URL+"/status", &st)
+	getJSON(t, ts.URL+"/api/v1/workloads/W1", &st) // names are case-insensitive
 	if st.Name != "w1" || st.Benchmark != "apibench" || st.DBMS != "gomvcc" {
 		t.Fatalf("identity: %+v", st)
 	}
@@ -119,66 +121,54 @@ func TestStatusEndpoint(t *testing.T) {
 func TestRateControlEndpoint(t *testing.T) {
 	ts, m, cancel := startTestServer(t)
 	defer cancel()
-	var st StatusResponse
-	if code := postJSON(t, ts.URL+"/rate", map[string]any{"tps": 42.0}, &st); code != 200 {
+	var rs RateState
+	if code := postJSON(t, ts.URL+"/api/v1/workloads/w1/rate", map[string]any{"unlimited": true}, &rs); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if m.Rate() != 42 {
-		t.Fatalf("manager rate = %v", m.Rate())
+	if m.Rate() != 0 || !rs.Unlimited || rs.TPS != 0 {
+		t.Fatalf("unlimited: rate=%v state=%+v", m.Rate(), rs)
 	}
-	postJSON(t, ts.URL+"/rate", map[string]any{"unlimited": true}, &st)
-	if m.Rate() != 0 || !st.Unlimited {
-		t.Fatalf("unlimited: rate=%v st=%+v", m.Rate(), st)
+	postJSON(t, ts.URL+"/api/v1/workloads/w1/rate", map[string]any{"tps": 42.0}, &rs)
+	if m.Rate() != 42 || rs.Unlimited || rs.TPS != 42 {
+		t.Fatalf("limited again: rate=%v state=%+v", m.Rate(), rs)
 	}
 }
 
 func TestMixtureEndpoint(t *testing.T) {
 	ts, m, cancel := startTestServer(t)
 	defer cancel()
+	url := ts.URL + "/api/v1/workloads/w1/mixture"
 	// Explicit weights.
-	if code := postJSON(t, ts.URL+"/mixture", map[string]any{"weights": []float64{100, 0}}, nil); code != 200 {
+	if code := postJSON(t, url, map[string]any{"weights": []float64{100, 0}}, nil); code != 200 {
 		t.Fatalf("weights: %d", code)
 	}
 	if mix := m.Mix(); mix[0] != 100 || mix[1] != 0 {
 		t.Fatalf("mix = %v", mix)
 	}
 	// Preset derived from read-only flags.
-	if code := postJSON(t, ts.URL+"/mixture", map[string]any{"preset": "readonly"}, nil); code != 200 {
+	if code := postJSON(t, url, map[string]any{"preset": "readonly"}, nil); code != 200 {
 		t.Fatalf("readonly preset: %d", code)
 	}
 	if mix := m.Mix(); mix[0] == 0 || mix[1] != 0 {
 		t.Fatalf("readonly mix = %v", mix)
 	}
-	if code := postJSON(t, ts.URL+"/mixture", map[string]any{"preset": "writeheavy"}, nil); code != 200 {
+	if code := postJSON(t, url, map[string]any{"preset": "writeheavy"}, nil); code != 200 {
 		t.Fatalf("writeheavy preset: %d", code)
 	}
 	if mix := m.Mix(); mix[0] != 0 || mix[1] == 0 {
 		t.Fatalf("writeheavy mix = %v", mix)
 	}
 	// Back to default.
-	postJSON(t, ts.URL+"/mixture", map[string]any{"preset": "default"}, nil)
+	postJSON(t, url, map[string]any{"preset": "default"}, nil)
 	if mix := m.Mix(); mix[0] != 50 || mix[1] != 50 {
 		t.Fatalf("default mix = %v", mix)
 	}
 	// Bad requests.
-	if code := postJSON(t, ts.URL+"/mixture", map[string]any{"preset": "bogus"}, nil); code != 400 {
+	if code := postJSON(t, url, map[string]any{"preset": "bogus"}, nil); code != 400 {
 		t.Fatalf("bogus preset: %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/mixture", map[string]any{}, nil); code != 400 {
+	if code := postJSON(t, url, map[string]any{}, nil); code != 400 {
 		t.Fatalf("empty mixture: %d", code)
-	}
-}
-
-func TestPauseResumeEndpoints(t *testing.T) {
-	ts, m, cancel := startTestServer(t)
-	defer cancel()
-	postJSON(t, ts.URL+"/pause", map[string]any{}, nil)
-	if !m.Paused() {
-		t.Fatal("not paused")
-	}
-	postJSON(t, ts.URL+"/resume", map[string]any{}, nil)
-	if m.Paused() {
-		t.Fatal("still paused")
 	}
 }
 
@@ -187,7 +177,7 @@ func TestWindowsEndpoint(t *testing.T) {
 	defer cancel()
 	time.Sleep(1200 * time.Millisecond)
 	var pts []WindowPoint
-	getJSON(t, ts.URL+"/windows", &pts)
+	getJSON(t, ts.URL+"/api/v1/workloads/w1/windows", &pts)
 	if len(pts) == 0 {
 		t.Fatal("no window points")
 	}
@@ -196,56 +186,39 @@ func TestWindowsEndpoint(t *testing.T) {
 	}
 }
 
+// TestUnknownWorkload: every per-workload route answers an unknown name with
+// the 404 envelope.
 func TestUnknownWorkload(t *testing.T) {
 	ts, _, cancel := startTestServer(t)
 	defer cancel()
-	resp, err := http.Get(ts.URL + "/status?workload=nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("status = %d", resp.StatusCode)
+	for _, rt := range NewServer(nil).Routes() {
+		if !strings.Contains(rt.Pattern, "{name}") {
+			continue
+		}
+		url := ts.URL + strings.Replace(rt.Pattern, "{name}", "nope", 1)
+		resp, data := doReq(t, rt.Method, url, "application/json", []byte(`{}`))
+		if resp.StatusCode != 404 || decodeEnvelope(t, data) != "not_found" {
+			t.Fatalf("%s %s: %d %s", rt.Method, url, resp.StatusCode, data)
+		}
 	}
 }
 
+// TestStartBenchmarkEndpoint: a start hook that fails answers 400 with the
+// envelope and registers nothing.
 func TestStartBenchmarkEndpoint(t *testing.T) {
-	ts, _, cancel := startTestServer(t)
-	defer cancel()
-	// Without a StartWorkload hook, POST /benchmark is 501.
-	if code := postJSON(t, ts.URL+"/benchmark", map[string]any{"benchmark": "x"}, nil); code != 501 {
-		t.Fatalf("status = %d", code)
-	}
-}
-
-func TestStartWorkloadHook(t *testing.T) {
-	db, _ := dbdriver.Open("gomvcc")
-	defer db.Close()
-	b := &apiBench{}
-	core.Prepare(b, db, 1)
 	srv := NewServer(nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	srv.StartWorkload = func(req StartRequest) (*core.Manager, error) {
-		m := core.NewManager(b, db, []core.Phase{{Duration: time.Hour, Rate: req.Rate}},
-			core.Options{Name: req.Name})
-		go m.Run(ctx)
-		return m, nil
+		return nil, fmt.Errorf("unknown benchmark %q", req.Benchmark)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	var st StatusResponse
-	if code := postJSON(t, ts.URL+"/benchmark",
-		map[string]any{"name": "tenant2", "benchmark": "apibench", "rate": 10.0}, &st); code != 200 {
-		t.Fatalf("status = %d", code)
+	resp, data := doReq(t, "POST", ts.URL+"/api/v1/workloads", "application/json", []byte(`{"benchmark": "x"}`))
+	if resp.StatusCode != 400 || decodeEnvelope(t, data) != "bad_request" {
+		t.Fatalf("failing start: %d %s", resp.StatusCode, data)
 	}
-	if st.Name != "tenant2" {
-		t.Fatalf("started workload: %+v", st)
-	}
-	// It must now be visible in /workloads.
-	var all []StatusResponse
-	getJSON(t, ts.URL+"/workloads", &all)
-	if len(all) != 1 || all[0].Name != "tenant2" {
-		t.Fatalf("workloads = %+v", all)
+	var list WorkloadList
+	getJSON(t, ts.URL+"/api/v1/workloads", &list)
+	if len(list.Workloads) != 0 {
+		t.Fatalf("failed start registered %+v", list.Workloads)
 	}
 }

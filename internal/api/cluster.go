@@ -1,13 +1,12 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"benchpress/internal/cluster"
+	"benchpress/internal/stats"
 )
 
 // Cluster endpoints (registered only when the server runs in coordinator
@@ -24,9 +23,11 @@ import (
 //	GET    /api/v1/cluster/windows       merged per-window trajectory
 //	GET    /api/v1/cluster/stream        merged live SSE window feed
 //
-// The merged feed has the same frame shape as a single workload's stream
-// (workload name "cluster"), so BenchPress front-ends consume either without
-// caring how many load generators are behind it.
+// The merged feed is the coordinator's stats.Collector, served by the same
+// windowPoints and SSE loop as a single workload (workload name "cluster"), so
+// BenchPress front-ends consume either without caring how many load
+// generators are behind it. Until the first worker attaches there is no type
+// list and so no feed: windows and stream answer 409.
 
 // EnableCluster switches the server into coordinator mode: co merges worker
 // stats and fans controls out; wireAddr is the control-wire TCP address
@@ -50,6 +51,23 @@ func (s *Server) clusterCoord(w http.ResponseWriter) (*cluster.Coordinator, bool
 		return nil, false
 	}
 	return co, true
+}
+
+// clusterFeed returns the coordinator's merged collector, writing the error
+// response when there is none: 404 outside coordinator mode, 409 before the
+// first worker's Hello has fixed the type list.
+func (s *Server) clusterFeed(w http.ResponseWriter) (*stats.Collector, bool) {
+	co, ok := s.clusterCoord(w)
+	if !ok {
+		return nil, false
+	}
+	feed := co.Collector()
+	if feed == nil {
+		writeErr(w, http.StatusConflict, "conflict",
+			fmt.Errorf("api: no worker has attached yet, so the merged feed has no type list"))
+		return nil, false
+	}
+	return feed, true
 }
 
 func (s *Server) v1ClusterRegister(w http.ResponseWriter, r *http.Request) {
@@ -211,14 +229,12 @@ func (s *Server) v1ClusterSetMixture(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	for i, wt := range req.Weights {
-		if wt < 0 {
-			writeErr(w, http.StatusBadRequest, "bad_request",
-				fmt.Errorf("api: mixture weight %d must be non-negative, got %v", i, wt))
-			return
-		}
+	mix, err := mixtureWeights(req, nil)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad_request", err)
+		return
 	}
-	co.SetMix(req.Weights)
+	co.SetMix(mix)
 	writeJSON(w, http.StatusOK, ClusterMixtureState{Types: co.Types(), Weights: co.Mix()})
 }
 
@@ -241,74 +257,19 @@ func (s *Server) v1ClusterResume(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) v1ClusterWindows(w http.ResponseWriter, r *http.Request) {
-	co, ok := s.clusterCoord(w)
-	if !ok {
-		return
+	if feed, ok := s.clusterFeed(w); ok {
+		writeJSON(w, http.StatusOK, windowPoints(feed))
 	}
-	dur := co.WindowDuration()
-	wins := co.WindowsSince(0)
-	out := make([]WindowPoint, 0, len(wins))
-	for _, win := range wins {
-		out = append(out, pointOf(win, dur))
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
-// v1ClusterStream serves the merged SSE feed. The frames have the same shape
-// as a single workload's stream; rotation happens on the coordinator's own
-// clock, so a slow or dead worker never stalls this feed — its numbers just
-// arrive in a later window.
+// v1ClusterStream serves the merged SSE feed. It never ends: the cluster
+// outlives any one worker's run.
 func (s *Server) v1ClusterStream(w http.ResponseWriter, r *http.Request) {
-	co, ok := s.clusterCoord(w)
+	feed, ok := s.clusterFeed(w)
 	if !ok {
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "internal",
-			fmt.Errorf("api: streaming unsupported by this connection"))
-		return
-	}
-	next := 0
-	if f := r.URL.Query().Get("from"); f != "" {
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad_request",
-				fmt.Errorf("api: invalid from=%q", f))
-			return
-		}
-		next = n
-	}
-	sig, cancel := co.Subscribe()
-	defer cancel()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	dur := co.WindowDuration()
-	ticker := time.NewTicker(dur)
-	defer ticker.Stop()
-	enc := json.NewEncoder(w)
-	for {
-		wins := co.WindowsSince(next)
-		for _, win := range wins {
-			fmt.Fprintf(w, "id: %d\nevent: window\ndata: ", win.Index)
-			enc.Encode(streamFrame("cluster", co.Types(), win, dur)) // Encode appends the \n
-			fmt.Fprint(w, "\n")
-			next = win.Index + 1
-		}
-		if len(wins) == 0 {
-			fmt.Fprint(w, ": heartbeat\n\n")
-		}
-		fl.Flush()
-		select {
-		case <-r.Context().Done():
-			return
-		case <-sig:
-		case <-ticker.C:
-		}
-	}
+	serveStream(w, r, feed, nil, func(win stats.Window) StreamFrame {
+		return streamFrame("cluster", feed, win)
+	})
 }

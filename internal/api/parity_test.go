@@ -17,8 +17,8 @@ var routeSpan = regexp.MustCompile("`((?:GET|POST|PUT|PATCH|DELETE)(?: \\| (?:GE
 
 // docRoutes parses API.md and returns two sets of "METHOD /path" strings:
 // the Route index table rows, and every route span anywhere in the document
-// (section headings, prose, the legacy table). Combined verbs are expanded
-// and query-string suffixes stripped.
+// (section headings, prose). Combined verbs are expanded and query-string
+// suffixes stripped.
 func docRoutes(t *testing.T) (index, prose map[string]bool) {
 	t.Helper()
 	data, err := os.ReadFile("../../API.md")
@@ -49,14 +49,11 @@ func docRoutes(t *testing.T) (index, prose map[string]bool) {
 }
 
 // registeredRoutes returns "METHOD /pattern" for every route the server
-// registers, versioned and deprecated alike.
+// registers.
 func registeredRoutes(s *Server) map[string]bool {
 	got := map[string]bool{}
 	for _, rt := range s.Routes() {
 		got[rt.Method+" "+rt.Pattern] = true
-	}
-	for _, a := range s.aliases() {
-		got[a.Method+" "+a.Pattern] = true
 	}
 	return got
 }
@@ -91,8 +88,8 @@ func TestRouteDocParity(t *testing.T) {
 			t.Errorf("phantom documentation: API.md Route index lists %s but the server does not register it", key)
 		}
 	}
-	// Any route mentioned in prose (section headings, the deprecation table)
-	// must exist too — catches stale examples after a rename.
+	// Any route mentioned in prose (section headings, examples) must exist
+	// too — catches stale references after a rename.
 	for _, key := range sortedKeys(prose) {
 		if !registered[key] {
 			t.Errorf("stale reference: API.md mentions %s but the server does not register it", key)

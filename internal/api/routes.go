@@ -8,10 +8,9 @@ import (
 
 // Route is one versioned API endpoint: an HTTP method plus a Go 1.22
 // ServeMux path pattern. The route table is the single source of truth for
-// the mux — Handler registers exactly these (plus the deprecated flat
-// aliases below), and the documentation-parity test walks the same table
-// against API.md, so an endpoint cannot exist undocumented or be documented
-// without existing.
+// the mux — Handler registers exactly these, and the documentation-parity
+// test walks the same table against API.md, so an endpoint cannot exist
+// undocumented or be documented without existing.
 type Route struct {
 	Method  string
 	Pattern string
@@ -66,31 +65,6 @@ func (s *Server) Routes() []Route {
 	}
 }
 
-// aliasRoute is a deprecated flat route kept for existing clients, with the
-// v1 resource that supersedes it.
-type aliasRoute struct {
-	Method    string
-	Pattern   string
-	Successor string
-	handler   http.HandlerFunc
-}
-
-// aliases returns the deprecated flat routes (the TUI's polling page and
-// recorded scripts). Each answers with a Deprecation header naming its
-// successor resource.
-func (s *Server) aliases() []aliasRoute {
-	return []aliasRoute{
-		{"GET", "/status", "/api/v1/workloads/{name}", s.handleStatus},
-		{"GET", "/workloads", "/api/v1/workloads", s.handleWorkloads},
-		{"GET", "/windows", "/api/v1/workloads/{name}/windows", s.handleWindows},
-		{"POST", "/rate", "/api/v1/workloads/{name}/rate", s.handleRate},
-		{"POST", "/mixture", "/api/v1/workloads/{name}/mixture", s.handleMixture},
-		{"POST", "/pause", "/api/v1/workloads/{name}/pause", s.handlePause},
-		{"POST", "/resume", "/api/v1/workloads/{name}/resume", s.handleResume},
-		{"POST", "/benchmark", "/api/v1/workloads", s.handleStartBenchmark},
-	}
-}
-
 // Handler returns the HTTP mux implementing the API, built from the route
 // table.
 func (s *Server) Handler() http.Handler {
@@ -108,13 +82,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		methods[rt.Pattern] = append(methods[rt.Pattern], rt.Method)
 	}
-	for _, a := range s.aliases() {
-		mux.HandleFunc(a.Method+" "+a.Pattern, deprecated(a.Successor, a.handler))
-		if _, seen := methods[a.Pattern]; !seen {
-			order = append(order, a.Pattern)
-		}
-		methods[a.Pattern] = append(methods[a.Pattern], a.Method)
-	}
 	for _, pattern := range order {
 		mux.HandleFunc(pattern, allowOnly(strings.Join(methods[pattern], ", ")))
 	}
@@ -125,13 +92,4 @@ func (s *Server) Handler() http.Handler {
 			fmt.Errorf("api: no such resource %s", r.URL.Path))
 	})
 	return mux
-}
-
-// deprecated marks a legacy flat route with standard deprecation headers.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }

@@ -32,20 +32,34 @@ type TypeWindow struct {
 	P99MS float64 `json:"p99_ms"`
 }
 
-// v1Stream serves GET /api/v1/workloads/{name}/stream: one SSE "window"
-// event per completed collection window, starting at ?from= (default 0,
-// i.e. replay history first). Rotation is pull-driven — reading windows
-// forces the collector to finalize elapsed ones — so frames keep flowing
-// at one per window even when the workload is paused or idle; subscriber
-// signals from the collector deliver fresh windows promptly without the
-// handler ever blocking rotation. Heartbeat comments cover ticks with
-// nothing new. The handler owns no goroutines: client disconnect unwinds
-// it via the request context.
+// v1Stream serves GET /api/v1/workloads/{name}/stream: the workload's
+// windows, each frame carrying the live arrival-process state, ending when
+// the run does.
 func (s *Server) v1Stream(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.pathWorkload(w, r)
 	if !ok {
 		return
 	}
+	c := m.Collector()
+	serveStream(w, r, c, m.Done(), func(win stats.Window) StreamFrame {
+		f := streamFrame(m.Name(), c, win)
+		ar := arrivalStateOf("", m.Arrival(), m.EffectiveRate())
+		f.Arrival = &ar
+		return f
+	})
+}
+
+// serveStream is the one SSE loop, serving a workload's collector and the
+// cluster's merged one alike: one "window" event per completed window,
+// starting at ?from= (default 0, i.e. replay history first). Rotation is
+// pull-driven — reading windows forces the collector to finalize elapsed
+// ones — so frames keep flowing at one per window even when nothing is
+// recorded; subscriber signals from the collector deliver fresh windows
+// promptly without the handler ever blocking rotation. Heartbeat comments
+// cover ticks with nothing new. Once done closes, the loop drains the final
+// windows and sends an "end" event; a nil done never fires. The handler owns
+// no goroutines: client disconnect unwinds it via the request context.
+func serveStream(w http.ResponseWriter, r *http.Request, c *stats.Collector, done <-chan struct{}, frame func(stats.Window) StreamFrame) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, http.StatusInternalServerError, "internal",
@@ -62,7 +76,6 @@ func (s *Server) v1Stream(w http.ResponseWriter, r *http.Request) {
 		}
 		next = n
 	}
-	c := m.Collector()
 	sig, cancel := c.Subscribe()
 	defer cancel()
 
@@ -72,25 +85,20 @@ func (s *Server) v1Stream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	dur := c.WindowDuration()
-	ticker := time.NewTicker(dur)
+	ticker := time.NewTicker(c.WindowDuration())
 	defer ticker.Stop()
 	enc := json.NewEncoder(w)
 	ended := false
 	for {
-		wins := c.WindowsSince(next) // forces rotation: frames even while paused
+		wins := c.WindowsSince(next) // forces rotation: frames even while idle
 		for _, win := range wins {
 			fmt.Fprintf(w, "id: %d\nevent: window\ndata: ", win.Index)
-			frame := streamFrame(m.Name(), c.Types(), win, dur)
-			ar := arrivalStateOf("", m.Arrival(), m.EffectiveRate())
-			frame.Arrival = &ar
-			enc.Encode(frame) // Encode appends the \n
+			enc.Encode(frame(win)) // Encode appends the \n
 			fmt.Fprint(w, "\n")
 			next = win.Index + 1
 		}
 		if len(wins) == 0 {
-			// Nothing rotated since the last tick (e.g. the collector
-			// window is longer than our ticker): SSE comment heartbeat
+			// Nothing rotated since the last tick: an SSE comment heartbeat
 			// keeps the connection visibly alive.
 			fmt.Fprint(w, ": heartbeat\n\n")
 		}
@@ -103,7 +111,7 @@ func (s *Server) v1Stream(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-m.Done():
+		case <-done:
 			// Run finished: loop once more to drain the final windows,
 			// then emit the end event.
 			ended = true
@@ -113,10 +121,12 @@ func (s *Server) v1Stream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func streamFrame(workload string, types []string, win stats.Window, dur time.Duration) StreamFrame {
+// streamFrame renders one window of collector c as a stream frame.
+func streamFrame(workload string, c *stats.Collector, win stats.Window) StreamFrame {
+	types := c.Types()
 	f := StreamFrame{
 		Workload:    workload,
-		WindowPoint: pointOf(win, dur),
+		WindowPoint: pointOf(win, c.WindowDuration()),
 		Errors:      win.Errors,
 	}
 	for i, tl := range win.TypeLat {

@@ -254,26 +254,6 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
-func TestLegacyAliasesDeprecated(t *testing.T) {
-	ts, _, cancel := startTestServer(t)
-	defer cancel()
-	resp, _ := doReq(t, "GET", ts.URL+"/status", "", nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("legacy status: %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/api/v1/workloads") {
-		t.Fatalf("legacy Link header: %q", link)
-	}
-	// Wrong method on a legacy path is still a JSON 405.
-	resp, data := doReq(t, "DELETE", ts.URL+"/rate", "", nil)
-	if resp.StatusCode != 405 || decodeEnvelope(t, data) != "method_not_allowed" {
-		t.Fatalf("legacy wrong method: %d %s", resp.StatusCode, data)
-	}
-}
-
 // sseFrame is one parsed SSE event.
 type sseFrame struct {
 	event string

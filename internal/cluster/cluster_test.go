@@ -15,8 +15,9 @@ import (
 )
 
 // newWorkerManager builds one embedded-engine YCSB workload for a cluster
-// worker: small scale, its own database, one open-loop phase of d.
-func newWorkerManager(t *testing.T, name string, d time.Duration, terminals int) (*core.Manager, func()) {
+// worker: small scale, its own database, one phase of d at rate (0 =
+// unlimited).
+func newWorkerManager(t *testing.T, name string, d time.Duration, terminals int, rate float64) (*core.Manager, func()) {
 	t.Helper()
 	b, err := core.NewBenchmark("ycsb", 0.05)
 	if err != nil {
@@ -30,7 +31,7 @@ func newWorkerManager(t *testing.T, name string, d time.Duration, terminals int)
 		db.Close()
 		t.Fatal(err)
 	}
-	m := core.NewManager(b, db, []core.Phase{{Duration: d}}, core.Options{
+	m := core.NewManager(b, db, []core.Phase{{Duration: d, Rate: rate}}, core.Options{
 		Terminals: terminals,
 		Name:      name,
 	})
@@ -65,23 +66,17 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestClusterGateMergedExactness is the CI gate for the scale-out path: a
-// coordinator with two in-process workers running a short YCSB burst. The
-// merged committed count must equal the sum of the workers' collectors
-// EXACTLY (the stats wire ships lossless cumulative deltas, not samples),
-// and the merged latency digest must agree with an oracle built by merging
-// the worker histograms directly in-process.
-func TestClusterGateMergedExactness(t *testing.T) {
-	co, addr := testCoordinator(t)
-
-	const nWorkers = 2
-	managers := make([]*core.Manager, nWorkers)
+// runWorkers runs n in-process workers of 2 terminals each through the
+// coordinator at addr for d at rate (0 = unlimited) and returns their
+// managers once every worker has sent its final flush and Bye.
+func runWorkers(t *testing.T, addr string, n int, d time.Duration, rate float64) []*core.Manager {
+	t.Helper()
+	managers := make([]*core.Manager, n)
 	for i := range managers {
-		m, closeDB := newWorkerManager(t, "w"+string(rune('0'+i)), 1200*time.Millisecond, 2)
+		m, closeDB := newWorkerManager(t, "w"+string(rune('0'+i)), d, 2, rate)
 		t.Cleanup(closeDB)
 		managers[i] = m
 	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -100,8 +95,18 @@ func TestClusterGateMergedExactness(t *testing.T) {
 		}(i, m)
 	}
 	wg.Wait()
-	// RunWorker returns after its final flush and Bye, so the coordinator
-	// has every delta once the reads drain; give the server loop a moment.
+	return managers
+}
+
+// TestClusterGateMergedExactness is the CI gate for the scale-out path: a
+// coordinator with two in-process workers running a short YCSB burst. The
+// merged committed count must equal the sum of the workers' collectors
+// EXACTLY (the stats wire ships lossless cumulative deltas, not samples),
+// and the merged latency digest must equal an oracle built by merging the
+// worker histograms directly in-process.
+func TestClusterGateMergedExactness(t *testing.T) {
+	co, addr := testCoordinator(t)
+	managers := runWorkers(t, addr, 2, 1200*time.Millisecond, 0)
 	var wantCommitted, wantAborted, wantErrors, wantRetries int64
 	oracle := stats.HistSnapshot{}
 	for _, m := range managers {
@@ -115,8 +120,10 @@ func TestClusterGateMergedExactness(t *testing.T) {
 	if wantCommitted == 0 {
 		t.Fatal("workers committed nothing; workload did not run")
 	}
+	// RunWorker returns after its final flush and Bye, so the coordinator
+	// has every delta once the reads drain; give the server loop a moment.
 	waitFor(t, 2*time.Second, "merged committed count", func() bool {
-		return co.Committed() == wantCommitted
+		return co.Status().Committed == wantCommitted
 	})
 
 	st := co.Status()
@@ -130,32 +137,17 @@ func TestClusterGateMergedExactness(t *testing.T) {
 		t.Fatalf("heartbeat cross-check saw %d drift events", st.DriftEvents)
 	}
 
-	// Percentile fidelity: merged-over-the-wire vs direct in-process merge.
-	// Bucket deltas are lossless, so this should be exact; the gate allows
-	// ±10% to stay robust if the bucket scheme ever coarsens.
-	want := oracle.Summary()
-	got := co.GlobalSummary()
-	if got.Count != want.Count {
-		t.Fatalf("merged histogram count %d != oracle %d", got.Count, want.Count)
-	}
-	within := func(got, want time.Duration) bool {
-		diff := got - want
-		if diff < 0 {
-			diff = -diff
-		}
-		return float64(diff) <= 0.10*float64(want)
-	}
-	if !within(got.P95, want.P95) || !within(got.P50, want.P50) {
-		t.Fatalf("merged percentiles diverge from oracle: got p50=%v p95=%v, want p50=%v p95=%v",
-			got.P50, got.P95, want.P50, want.P95)
-	}
-	if got.Max != want.Max {
-		t.Fatalf("merged max %v != oracle %v", got.Max, want.Max)
+	// Percentile fidelity: the merged feed and the in-process oracle fold
+	// the same bucket deltas with the same histogram code, so count, mean,
+	// p50, p95, p99 and max are equal, not merely close.
+	feed := co.Collector()
+	if got, want := feed.GlobalSummary(), oracle.Summary(); got != want {
+		t.Fatalf("merged digest %v != oracle %v", got, want)
 	}
 
 	// The merged feed produced windows and their committed sum never exceeds
 	// the exact total (the tail may still sit in the unrotated window).
-	wins := co.WindowsSince(0)
+	wins := feed.Windows()
 	if len(wins) == 0 {
 		t.Fatal("no merged windows rotated")
 	}
@@ -168,6 +160,38 @@ func TestClusterGateMergedExactness(t *testing.T) {
 	}
 }
 
+// TestClusterMergedResponseTime runs paced workers: their response-time
+// histograms travel with the service-time ones, so the merged windows carry
+// response time and the merged response digest is exactly the union of the
+// workers'.
+func TestClusterMergedResponseTime(t *testing.T) {
+	co, addr := testCoordinator(t)
+	managers := runWorkers(t, addr, 2, 1200*time.Millisecond, 300)
+	var oracle stats.HistSnapshot
+	for _, m := range managers {
+		oracle.Merge(m.Collector().GlobalResponseSnapshot())
+	}
+	want := oracle.Summary()
+	if want.Count == 0 {
+		t.Fatal("paced workers recorded no response time")
+	}
+	waitFor(t, 2*time.Second, "merged response count", func() bool {
+		feed := co.Collector()
+		return feed != nil && feed.GlobalResponseSnapshot().Summary().Count == want.Count
+	})
+	feed := co.Collector()
+	if got := feed.GlobalResponseSnapshot().Summary(); got != want {
+		t.Fatalf("merged response digest %v != workers' %v", got, want)
+	}
+	var winResp int64
+	for _, w := range feed.Windows() {
+		winResp += w.Resp.Count
+	}
+	if winResp == 0 || winResp > want.Count {
+		t.Fatalf("merged windows hold %d responses of %d", winResp, want.Count)
+	}
+}
+
 // TestClusterRateFanOutAndRebalance drives the dynamic-control path: an
 // aggregate rate splits evenly across live workers, and a departing worker's
 // share moves to the survivors without stalling the merged feed.
@@ -175,7 +199,7 @@ func TestClusterRateFanOutAndRebalance(t *testing.T) {
 	co, addr := testCoordinator(t)
 
 	mkWorker := func(name string) (m *core.Manager, cancel context.CancelFunc, done chan struct{}) {
-		m, closeDB := newWorkerManager(t, name, 10*time.Second, 1)
+		m, closeDB := newWorkerManager(t, name, 10*time.Second, 1, 0)
 		t.Cleanup(closeDB)
 		ctx, cancelCtx := context.WithCancel(context.Background())
 		ch := make(chan struct{})
@@ -212,7 +236,8 @@ func TestClusterRateFanOutAndRebalance(t *testing.T) {
 
 	// Kill worker 1 (context cancel closes its connection): its share must
 	// land on worker 2 within roughly a heartbeat.
-	windowsBefore := len(co.WindowsSince(0))
+	feed := co.Collector()
+	windowsBefore := len(feed.Windows())
 	cancel1()
 	<-done1
 	waitFor(t, 2*time.Second, "share rebalance to survivor", func() bool {
@@ -220,7 +245,7 @@ func TestClusterRateFanOutAndRebalance(t *testing.T) {
 	})
 	// The merged feed kept rotating while the cluster shrank.
 	waitFor(t, 2*time.Second, "merged feed still rotating", func() bool {
-		return len(co.WindowsSince(0)) > windowsBefore
+		return len(feed.Windows()) > windowsBefore
 	})
 
 	// Pause fan-out reaches the survivor.
@@ -322,7 +347,7 @@ func TestRemoteEngineSession(t *testing.T) {
 // worker id (no double counting).
 func TestWorkerReconnect(t *testing.T) {
 	co, addr := testCoordinator(t)
-	m, closeDB := newWorkerManager(t, "rw", 3*time.Second, 1)
+	m, closeDB := newWorkerManager(t, "rw", 3*time.Second, 1, 0)
 	t.Cleanup(closeDB)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -345,7 +370,7 @@ func TestWorkerReconnect(t *testing.T) {
 	<-done
 	// After the run: exact totals despite the reconnect.
 	waitFor(t, 2*time.Second, "exact totals after reconnect", func() bool {
-		return co.Committed() == m.Collector().Committed()
+		return co.Status().Committed == m.Collector().Committed()
 	})
 	if st := co.Status(); st.DriftEvents != 0 {
 		t.Fatalf("reconnect produced %d drift events", st.DriftEvents)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,31 +38,6 @@ func (o *CoordinatorOptions) fill() {
 	}
 }
 
-// typeCum is one transaction type's cluster-cumulative state.
-type typeCum struct {
-	hist stats.HistSnapshot
-}
-
-// windowAccum collects the deltas that landed during the current merged
-// window. It is reset at each rotation.
-type windowAccum struct {
-	committed    int64
-	aborted      int64
-	errors       int64
-	retries      int64
-	sumLatencyUS int64
-	perType      []int64
-	typeHist     []stats.HistSnapshot
-	hist         stats.HistSnapshot
-}
-
-func newWindowAccum(ntypes int) windowAccum {
-	return windowAccum{
-		perType:  make([]int64, ntypes),
-		typeHist: make([]stats.HistSnapshot, ntypes),
-	}
-}
-
 // workerState is the coordinator's view of one registered worker.
 type workerState struct {
 	id        uint64
@@ -79,14 +55,11 @@ type workerState struct {
 	lastSeen   time.Time // any frame
 	lastUpdate time.Time // last StatsUpdate specifically
 	lastSeq    uint64
-	lastWindow int64
 
 	committed int64
 	aborted   int64
 	errors    int64
 	retries   int64
-
-	evicted bool
 }
 
 // WorkerStatus is one worker's externally visible state.
@@ -128,42 +101,29 @@ type ClusterStatus struct {
 }
 
 // Coordinator owns the cluster: it accepts worker control connections,
-// merges their sharded stat streams into one cluster-wide window feed, and
-// fans dynamic-control changes back out as rate-share assignments. Merging
-// is strictly non-blocking — windows rotate on the coordinator's clock and a
-// slow or dead worker only goes stale, it never stalls the feed.
+// folds their stat streams into one merged stats.Collector, and fans
+// dynamic-control changes back out as rate-share assignments. The merged feed
+// is an ordinary collector whose windows rotate on the coordinator's clock,
+// so a slow or dead worker only goes stale; it never stalls the feed.
 type Coordinator struct {
 	opts   CoordinatorOptions
 	ln     net.Listener
-	start  time.Time
 	wg     sync.WaitGroup
 	closed atomic.Bool
 	stopCh chan struct{}
 
-	mu         sync.Mutex
-	nextID     uint64
-	gen        uint64
-	targetRate float64
-	paused     bool
-	mix        []float64
-	benchmark  string
-	types      []string
-	workers    map[uint64]*workerState
-
-	totCommitted int64
-	totAborted   int64
-	totErrors    int64
-	totRetries   int64
-	sumLatencyUS int64
-	driftEvents  int64
-	typeCums     []typeCum
-	globalHist   stats.HistSnapshot
-
-	cur     windowAccum
-	history []stats.Window
-
-	subs    map[int]chan struct{}
-	nextSub int
+	mu          sync.Mutex
+	nextID      uint64
+	gen         uint64
+	targetRate  float64
+	paused      bool
+	mix         []float64
+	benchmark   string
+	workers     map[uint64]*workerState
+	driftEvents int64
+	// feed is the merged stats feed, created when the first worker's Hello
+	// fixes the type list.
+	feed *stats.Collector
 }
 
 // NewCoordinator starts a coordinator serving the worker control wire on ln.
@@ -172,10 +132,8 @@ func NewCoordinator(ln net.Listener, opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		opts:    opts,
 		ln:      ln,
-		start:   time.Now(),
 		stopCh:  make(chan struct{}),
 		workers: map[uint64]*workerState{},
-		subs:    map[int]chan struct{}{},
 	}
 	c.wg.Add(2)
 	go func() {
@@ -184,16 +142,13 @@ func NewCoordinator(ln net.Listener, opts CoordinatorOptions) *Coordinator {
 	}()
 	go func() {
 		defer c.wg.Done()
-		c.maintainLoop()
+		c.sweepLoop()
 	}()
 	return c
 }
 
 // Addr returns the control-wire listener address workers dial.
 func (c *Coordinator) Addr() net.Addr { return c.ln.Addr() }
-
-// Start returns when the coordinator's window clock started.
-func (c *Coordinator) Start() time.Time { return c.start }
 
 // WindowDuration returns the merged feed's window length.
 func (c *Coordinator) WindowDuration() time.Duration { return c.opts.Window }
@@ -276,7 +231,6 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 
 	welcome := Welcome{
 		WorkerID:    w.id,
-		WindowUS:    c.opts.Window.Microseconds(),
 		FlushUS:     c.opts.Flush.Microseconds(),
 		HeartbeatUS: c.opts.Heartbeat.Microseconds(),
 	}
@@ -348,12 +302,10 @@ func (c *Coordinator) attach(h Hello, conn net.Conn, bw *bufio.Writer) (*workerS
 			_ = old.Close()
 		}
 	}
-	if c.types == nil {
-		c.types = append([]string(nil), h.Types...)
+	if c.feed == nil {
+		c.feed = stats.NewCollectorWindow(h.Types, c.opts.Window)
 		c.benchmark = h.Benchmark
-		c.typeCums = make([]typeCum, len(c.types))
-		c.cur = newWindowAccum(len(c.types))
-	} else if !sameStrings(c.types, h.Types) {
+	} else if !slices.Equal(c.feed.Types(), h.Types) {
 		return nil, fmt.Errorf("cluster: worker %d type list does not match cluster", w.id)
 	}
 	now := time.Now()
@@ -366,7 +318,6 @@ func (c *Coordinator) attach(h Hello, conn net.Conn, bw *bufio.Writer) (*workerS
 	w.wmu.Unlock()
 	w.lastSeen = now
 	w.lastUpdate = now
-	w.evicted = false
 	return w, nil
 }
 
@@ -388,22 +339,10 @@ func (c *Coordinator) detach(w *workerState, conn net.Conn) {
 	c.broadcastAssign()
 }
 
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// applyStats folds one worker's cumulative-delta update into the cluster
-// totals and the current window accumulator. Duplicate or reordered updates
-// (possible across a reconnect replay) are rejected by sequence number, which
-// preserves the exactness of the merged counters.
+// applyStats folds one worker's update into its counters and the merged
+// feed. Duplicate or reordered updates (possible across a reconnect replay)
+// are rejected by sequence number, which preserves the exactness of the
+// merged counters.
 func (c *Coordinator) applyStats(w *workerState, u StatsUpdate, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -413,42 +352,11 @@ func (c *Coordinator) applyStats(w *workerState, u StatsUpdate, now time.Time) {
 	}
 	w.lastSeq = u.Seq
 	w.lastUpdate = now
-	w.lastWindow = u.Window
-
 	w.committed += u.Committed
 	w.aborted += u.Aborted
 	w.errors += u.Errors
 	w.retries += u.Retries
-
-	c.totCommitted += u.Committed
-	c.totAborted += u.Aborted
-	c.totErrors += u.Errors
-	c.totRetries += u.Retries
-	c.sumLatencyUS += u.SumLatencyUS
-
-	c.cur.committed += u.Committed
-	c.cur.aborted += u.Aborted
-	c.cur.errors += u.Errors
-	c.cur.retries += u.Retries
-	c.cur.sumLatencyUS += u.SumLatencyUS
-
-	for _, t := range u.Types {
-		if t.Index < 0 || t.Index >= len(c.typeCums) {
-			continue // corrupt index; drop the delta rather than the worker
-		}
-		delta := stats.HistSnapshot{Counts: t.Buckets, SumUS: t.SumUS, MaxUS: t.MaxUS}
-		c.typeCums[t.Index].hist.Merge(delta)
-		c.globalHist.Merge(delta)
-		if t.Index < len(c.cur.perType) {
-			c.cur.perType[t.Index] += t.Count
-			// Window-scoped digests deliberately omit MaxUS: the delta's max
-			// is cumulative over the worker's life, so the window max falls
-			// back to the highest occupied bucket (one-bucket resolution).
-			wdelta := stats.HistSnapshot{Counts: t.Buckets, SumUS: t.SumUS}
-			c.cur.typeHist[t.Index].Merge(wdelta)
-			c.cur.hist.Merge(wdelta)
-		}
-	}
+	c.feed.Merge(u.Delta)
 }
 
 // applyHeartbeat records liveness and cross-checks the delta-accumulated
@@ -466,50 +374,18 @@ func (c *Coordinator) applyHeartbeat(w *workerState, hb Heartbeat, now time.Time
 	}
 }
 
-// maintainLoop owns the coordinator's clock: window rotation on the window
-// cadence and heartbeat-based eviction on the heartbeat cadence.
-func (c *Coordinator) maintainLoop() {
-	rotate := time.NewTicker(c.opts.Window)
-	defer rotate.Stop()
+// sweepLoop evicts dead workers on the heartbeat cadence.
+func (c *Coordinator) sweepLoop() {
 	sweep := time.NewTicker(c.opts.Heartbeat)
 	defer sweep.Stop()
 	for {
 		select {
 		case <-c.stopCh:
 			return
-		case <-rotate.C:
-			c.rotate()
-			c.notifySubscribers()
 		case <-sweep.C:
 			c.sweepDead()
 		}
 	}
-}
-
-// rotate finalizes the current merged window. It runs on the coordinator's
-// ticker regardless of worker progress: a stalled worker's missing deltas
-// simply land in a later window when they arrive.
-func (c *Coordinator) rotate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	idx := len(c.history)
-	win := stats.Window{
-		Index:        idx,
-		Start:        time.Duration(idx) * c.opts.Window,
-		Committed:    c.cur.committed,
-		Aborted:      c.cur.aborted,
-		Errors:       c.cur.errors,
-		Retries:      c.cur.retries,
-		SumLatencyUS: c.cur.sumLatencyUS,
-		PerType:      append([]int64(nil), c.cur.perType...),
-		Lat:          c.cur.hist.Summary(),
-	}
-	win.TypeLat = make([]stats.LatencySummary, len(c.cur.typeHist))
-	for i := range c.cur.typeHist {
-		win.TypeLat[i] = c.cur.typeHist[i].Summary()
-	}
-	c.history = append(c.history, win)
-	c.cur = newWindowAccum(len(c.types))
 }
 
 // sweepDead evicts workers silent for 3 heartbeat intervals and rebalances.
@@ -520,7 +396,6 @@ func (c *Coordinator) sweepDead() {
 	for _, w := range c.workers {
 		if w.conn != nil && w.lastSeen.Before(cutoff) {
 			_ = w.conn.Close() // read loop unwinds and detaches
-			w.evicted = true
 			dropped = true
 		}
 	}
@@ -537,7 +412,6 @@ func (c *Coordinator) EvictWorker(id uint64) bool {
 	w, ok := c.workers[id]
 	if ok && w.conn != nil {
 		_ = w.conn.Close()
-		w.evicted = true
 	}
 	c.mu.Unlock()
 	return ok
@@ -592,28 +466,34 @@ func (c *Coordinator) Paused() bool {
 	return c.paused
 }
 
+// connected returns the workers with a live control connection. Callers
+// hold c.mu.
+func (c *Coordinator) connected() []*workerState {
+	var live []*workerState
+	for _, w := range c.workers {
+		if w.conn != nil {
+			live = append(live, w)
+		}
+	}
+	return live
+}
+
+// shareOf splits the aggregate rate across n connected workers (0 =
+// unlimited, also when nobody is connected). Callers hold c.mu.
+func (c *Coordinator) shareOf(n int) float64 {
+	if c.targetRate <= 0 || n == 0 {
+		return 0
+	}
+	return c.targetRate / float64(n)
+}
+
 // broadcastAssign recomputes per-worker rate shares and pushes the current
 // assignment to every connected worker under a fresh generation number.
 func (c *Coordinator) broadcastAssign() {
 	c.mu.Lock()
 	c.gen++
-	live := 0
-	for _, w := range c.workers {
-		if w.conn != nil {
-			live++
-		}
-	}
-	share := 0.0
-	if c.targetRate > 0 && live > 0 {
-		share = c.targetRate / float64(live)
-	}
-	a := Assign{Gen: c.gen, Rate: share, Paused: c.paused, Mix: append([]float64(nil), c.mix...)}
-	targets := make([]*workerState, 0, live)
-	for _, w := range c.workers {
-		if w.conn != nil {
-			targets = append(targets, w)
-		}
-	}
+	targets := c.connected()
+	a := Assign{Gen: c.gen, Rate: c.shareOf(len(targets)), Paused: c.paused, Mix: append([]float64(nil), c.mix...)}
 	c.mu.Unlock()
 
 	payload := a.encode()
@@ -634,24 +514,25 @@ func (c *Coordinator) broadcastAssign() {
 func (c *Coordinator) RateShare() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	live := 0
-	for _, w := range c.workers {
-		if w.conn != nil {
-			live++
-		}
-	}
-	if c.targetRate <= 0 || live == 0 {
-		return 0
-	}
-	return c.targetRate / float64(live)
+	return c.shareOf(len(c.connected()))
+}
+
+// Collector returns the merged stats feed: every worker's stats folded into
+// one stats.Collector whose windows rotate on the coordinator's clock as they
+// are read. It is nil until the first worker's Hello fixes the type list.
+func (c *Coordinator) Collector() *stats.Collector {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.feed
 }
 
 // Types returns the cluster's fixed transaction type list (nil until the
 // first worker attaches).
 func (c *Coordinator) Types() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.types...)
+	if feed := c.Collector(); feed != nil {
+		return feed.Types()
+	}
+	return nil
 }
 
 // Status returns the cluster's externally visible state.
@@ -660,28 +541,19 @@ func (c *Coordinator) Status() ClusterStatus {
 	staleCutoff := now.Add(-2 * c.opts.Flush)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	live := 0
-	for _, w := range c.workers {
-		if w.conn != nil {
-			live++
-		}
-	}
-	share := 0.0
-	if c.targetRate > 0 && live > 0 {
-		share = c.targetRate / float64(live)
-	}
+	share := c.shareOf(len(c.connected()))
 	st := ClusterStatus{
 		Benchmark:   c.benchmark,
-		Types:       append([]string(nil), c.types...),
 		TargetRate:  c.targetRate,
 		Paused:      c.paused,
 		Mix:         append([]float64(nil), c.mix...),
-		Committed:   c.totCommitted,
-		Aborted:     c.totAborted,
-		Errors:      c.totErrors,
-		Retries:     c.totRetries,
 		DriftEvents: c.driftEvents,
-		Latency:     c.globalHist.Summary(),
+	}
+	if c.feed != nil {
+		st.Types = c.feed.Types()
+		st.Committed, st.Aborted = c.feed.Committed(), c.feed.Aborted()
+		st.Errors, st.Retries = c.feed.Errors(), c.feed.Retries()
+		st.Latency = c.feed.GlobalSummary()
 	}
 	ids := make([]uint64, 0, len(c.workers))
 	for id := range c.workers {
@@ -709,66 +581,4 @@ func (c *Coordinator) Status() ClusterStatus {
 		st.Workers = append(st.Workers, ws)
 	}
 	return st
-}
-
-// GlobalSummary returns the cluster-cumulative latency digest.
-func (c *Coordinator) GlobalSummary() stats.LatencySummary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.globalHist.Summary()
-}
-
-// GlobalHistSnapshot returns a copy of the cluster-cumulative merged
-// histogram.
-func (c *Coordinator) GlobalHistSnapshot() stats.HistSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.globalHist.Clone()
-}
-
-// Committed returns the exact cluster-cumulative committed count.
-func (c *Coordinator) Committed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totCommitted
-}
-
-// WindowsSince returns finalized merged windows from index from on.
-func (c *Coordinator) WindowsSince(from int) []stats.Window {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(c.history) {
-		return nil
-	}
-	return append([]stats.Window(nil), c.history[from:]...)
-}
-
-// Subscribe registers for a signal after each window rotation (same contract
-// as stats.Collector.Subscribe: coalesced, non-blocking).
-func (c *Coordinator) Subscribe() (<-chan struct{}, func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := c.nextSub
-	c.nextSub++
-	ch := make(chan struct{}, 1)
-	c.subs[id] = ch
-	return ch, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		delete(c.subs, id)
-	}
-}
-
-func (c *Coordinator) notifySubscribers() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ch := range c.subs {
-		select {
-		case ch <- struct{}{}:
-		default: // subscriber already has a pending signal
-		}
-	}
 }

@@ -43,11 +43,10 @@ func decodeHello(p []byte) (Hello, error) {
 }
 
 // Welcome answers a Hello: the worker's assigned id and the cadences the
-// coordinator wants it to run at (stat flush deadline, heartbeat interval,
-// window duration), all in microseconds.
+// coordinator wants it to run at (stat flush deadline, heartbeat interval),
+// in microseconds.
 type Welcome struct {
 	WorkerID    uint64
-	WindowUS    int64
 	FlushUS     int64
 	HeartbeatUS int64
 }
@@ -55,7 +54,6 @@ type Welcome struct {
 func (w Welcome) encode() []byte {
 	var e enc
 	e.uvarint(w.WorkerID)
-	e.varint(w.WindowUS)
 	e.varint(w.FlushUS)
 	e.varint(w.HeartbeatUS)
 	return e.b
@@ -65,7 +63,6 @@ func decodeWelcome(p []byte) (Welcome, error) {
 	d := dec{b: p}
 	w := Welcome{
 		WorkerID:    d.uvarint(),
-		WindowUS:    d.varint(),
 		FlushUS:     d.varint(),
 		HeartbeatUS: d.varint(),
 	}
@@ -104,52 +101,43 @@ func decodeAssign(p []byte) (Assign, error) {
 	return a, d.finish()
 }
 
-// TypeDelta is one transaction type's share of a stats update: committed
-// count and latency-sum deltas since the previous flush, the cumulative
-// maximum (maxima do not delta), and the histogram bucket-count deltas.
-type TypeDelta struct {
-	Index   int
-	Count   int64
-	SumUS   int64
-	MaxUS   int64
-	Buckets []int64
-}
-
-// StatsUpdate is one batched, coalesced stat flush: every counter movement
-// on the worker since the previous update, attributed cumulatively. Deltas
-// are lossless — the coordinator's running totals equal the worker's exactly
-// once the update lands, which is what makes the merged committed count an
-// exact sum rather than an estimate. Window is the worker's latest completed
-// window ordinal, carried for staleness accounting.
+// StatsUpdate is one batched, coalesced stat flush: the stats.Delta of the
+// worker's collector since the previous update, per type with both its
+// service-time and response-time histograms. Deltas are lossless — the
+// merged feed's totals equal the sum of the workers' exactly once the update
+// lands, which is what makes the merged committed count an exact sum rather
+// than an estimate.
 type StatsUpdate struct {
-	Seq          uint64
-	Window       int64
-	Committed    int64
-	Aborted      int64
-	Errors       int64
-	Retries      int64
-	SumLatencyUS int64
-	Types        []TypeDelta
+	Seq uint64
+	stats.Delta
 }
 
 func (u StatsUpdate) encode() []byte {
 	var e enc
 	e.uvarint(u.Seq)
-	e.varint(u.Window)
 	e.varint(u.Committed)
 	e.varint(u.Aborted)
 	e.varint(u.Errors)
 	e.varint(u.Retries)
-	e.varint(u.SumLatencyUS)
 	e.uvarint(uint64(len(u.Types)))
 	for _, t := range u.Types {
 		e.uvarint(uint64(t.Index))
-		e.varint(t.Count)
-		e.varint(t.SumUS)
-		e.varint(t.MaxUS)
-		appendSparseBuckets(&e, t.Buckets)
+		appendHist(&e, t.Lat)
+		appendHist(&e, t.Resp)
 	}
 	return e.b
+}
+
+// appendHist encodes one histogram delta: sum, cumulative maximum, then the
+// sparse bucket counts.
+func appendHist(e *enc, hs stats.HistSnapshot) {
+	e.varint(hs.SumUS)
+	e.varint(hs.MaxUS)
+	appendSparseBuckets(e, hs.Counts)
+}
+
+func decodeHist(d *dec) stats.HistSnapshot {
+	return stats.HistSnapshot{SumUS: d.varint(), MaxUS: d.varint(), Counts: decodeSparseBuckets(d, 0, stats.NumBuckets)}
 }
 
 // maxTypes bounds the per-update type count; no benchmark has more than a
@@ -158,27 +146,17 @@ const maxTypes = 1 << 10
 
 func decodeStatsUpdate(p []byte) (StatsUpdate, error) {
 	d := dec{b: p}
-	u := StatsUpdate{
-		Seq:          d.uvarint(),
-		Window:       d.varint(),
-		Committed:    d.varint(),
-		Aborted:      d.varint(),
-		Errors:       d.varint(),
-		Retries:      d.varint(),
-		SumLatencyUS: d.varint(),
-	}
-	n := d.count(4)
+	u := StatsUpdate{Seq: d.uvarint()}
+	u.Committed = d.varint()
+	u.Aborted = d.varint()
+	u.Errors = d.varint()
+	u.Retries = d.varint()
+	n := d.count(7) // index, then sum, max and bucket count per histogram
 	if n > maxTypes {
 		d.fail()
 	}
 	for i := 0; i < n && d.err == nil; i++ {
-		t := TypeDelta{
-			Index: int(d.uvarint()),
-			Count: d.varint(),
-			SumUS: d.varint(),
-			MaxUS: d.varint(),
-		}
-		t.Buckets = decodeSparseBuckets(&d, 0, stats.NumBuckets)
+		t := stats.TypeDelta{Index: int(d.uvarint()), Lat: decodeHist(&d), Resp: decodeHist(&d)}
 		if t.Index >= maxTypes {
 			d.fail()
 			break

@@ -11,6 +11,7 @@ import (
 	"benchpress/internal/sqldb/exec"
 	"benchpress/internal/sqldb/txn"
 	"benchpress/internal/sqlval"
+	"benchpress/internal/stats"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -64,7 +65,11 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 // panic or a phantom frame.
 func TestTruncatedFramesNeverPanic(t *testing.T) {
 	var buf bytes.Buffer
-	u := StatsUpdate{Seq: 9, Committed: 1234, Types: []TypeDelta{{Index: 3, Count: 7, Buckets: []int64{0, 0, 5, 0, 2}}}}
+	u := StatsUpdate{Seq: 9, Delta: stats.Delta{Committed: 1234, Types: []stats.TypeDelta{{
+		Index: 3,
+		Lat:   stats.HistSnapshot{Counts: []int64{0, 0, 5, 0, 2}},
+		Resp:  stats.HistSnapshot{Counts: []int64{0, 0, 0, 7}},
+	}}}}
 	if err := WriteFrame(&buf, FrameStats, u.encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +92,7 @@ func TestControlMessageRoundTrips(t *testing.T) {
 		t.Fatalf("hello: %+v err=%v", gotH, err)
 	}
 
-	welcome := Welcome{WorkerID: 7, WindowUS: 1_000_000, FlushUS: 250_000, HeartbeatUS: 500_000}
+	welcome := Welcome{WorkerID: 7, FlushUS: 250_000, HeartbeatUS: 500_000}
 	gotW, err := decodeWelcome(welcome.encode())
 	if err != nil || gotW != welcome {
 		t.Fatalf("welcome: %+v err=%v", gotW, err)
@@ -117,19 +122,18 @@ func TestStatsUpdateRoundTripSparse(t *testing.T) {
 	buckets[0] = 3
 	buckets[100] = 17
 	buckets[2047] = 1
-	u := StatsUpdate{
-		Seq: 5, Window: 2, Committed: 21, Aborted: 1, Errors: 0, Retries: 2,
-		SumLatencyUS: 424242,
-		Types: []TypeDelta{
-			{Index: 0, Count: 21, SumUS: 424242, MaxUS: 999999, Buckets: buckets},
-			{Index: 3, Count: 0, SumUS: 0, MaxUS: 50, Buckets: []int64{0, 1}},
+	u := StatsUpdate{Seq: 5, Delta: stats.Delta{
+		Committed: 21, Aborted: 1, Errors: 0, Retries: 2,
+		Types: []stats.TypeDelta{
+			{Index: 0, Lat: stats.HistSnapshot{Counts: buckets, SumUS: 424242, MaxUS: 999999}},
+			{Index: 3, Lat: stats.HistSnapshot{MaxUS: 50}, Resp: stats.HistSnapshot{Counts: []int64{0, 1}, SumUS: 1}},
 		},
-	}
+	}}
 	got, err := decodeStatsUpdate(u.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != u.Seq || got.Committed != u.Committed || got.SumLatencyUS != u.SumLatencyUS {
+	if got.Seq != u.Seq || got.Committed != u.Committed || got.Retries != u.Retries || got.Types[0].Lat.SumUS != 424242 {
 		t.Fatalf("scalar mismatch: %+v", got)
 	}
 	if len(got.Types) != 2 {
@@ -139,15 +143,15 @@ func TestStatsUpdateRoundTripSparse(t *testing.T) {
 	// encoded count must land on its original index.
 	for i, want := range buckets {
 		var have int64
-		if i < len(got.Types[0].Buckets) {
-			have = got.Types[0].Buckets[i]
+		if i < len(got.Types[0].Lat.Counts) {
+			have = got.Types[0].Lat.Counts[i]
 		}
 		if have != want {
 			t.Fatalf("bucket %d: got %d want %d", i, have, want)
 		}
 	}
-	if got.Types[1].Buckets[1] != 1 {
-		t.Fatalf("second type buckets: %v", got.Types[1].Buckets)
+	if got.Types[1].Resp.Counts[1] != 1 || got.Types[1].Lat.MaxUS != 50 {
+		t.Fatalf("second type: %+v", got.Types[1])
 	}
 }
 

@@ -42,12 +42,6 @@ func (o *WorkerOptions) fill() {
 	}
 }
 
-// typeSent is the last cumulative per-type state shipped to the coordinator.
-type typeSent struct {
-	count int64
-	hist  stats.HistSnapshot
-}
-
 // workerAgent binds a local workload Manager to the coordinator: it applies
 // Assign frames to the manager's dynamic controls and ships the collector's
 // counter movement back as cumulative deltas.
@@ -55,21 +49,13 @@ type workerAgent struct {
 	m    *core.Manager
 	c    *stats.Collector
 	opts WorkerOptions
+	gen  atomic.Uint64 // newest assignment generation applied
 
-	start   time.Time
-	welcome Welcome
-	gen     atomic.Uint64 // newest assignment generation applied
-
-	// Delta baselines persist across reconnects: the coordinator keeps the
-	// accumulated view per worker id, so a reconnect resumes the cumulative
-	// stream instead of restarting it.
-	seq           uint64
-	sentCommitted int64
-	sentAborted   int64
-	sentErrors    int64
-	sentRetries   int64
-	sentSumUS     int64
-	sentTypes     []typeSent
+	// The delta baseline persists across reconnects: the coordinator keeps
+	// the accumulated view per worker id, so a reconnect resumes the
+	// cumulative stream instead of restarting it.
+	seq  uint64
+	sent stats.Delta // the collector's Cumulative as of the last update
 }
 
 // RunWorker runs m as one cluster worker agent: it launches the manager,
@@ -78,13 +64,7 @@ type workerAgent struct {
 // finishes or ctx is cancelled. The manager's own Run error is returned.
 func RunWorker(ctx context.Context, m *core.Manager, opts WorkerOptions) error {
 	opts.fill()
-	a := &workerAgent{
-		m:         m,
-		c:         m.Collector(),
-		opts:      opts,
-		start:     time.Now(),
-		sentTypes: make([]typeSent, len(m.Collector().Types())),
-	}
+	a := &workerAgent{m: m, c: m.Collector(), opts: opts}
 
 	runErr := make(chan error, 1)
 	go func() { runErr <- m.Run(ctx) }()
@@ -149,7 +129,6 @@ func (a *workerAgent) session(ctx context.Context, conn net.Conn) bool {
 	if err != nil {
 		return false
 	}
-	a.welcome = w
 	a.opts.WorkerID = w.WorkerID // keep the assigned id across reconnects
 
 	// The reader goroutine owns inbound frames (assignments); this goroutine
@@ -238,64 +217,16 @@ func (a *workerAgent) applyAssign(asg Assign) {
 	}
 }
 
-// buildUpdate diffs the collector's cumulative state against the last-sent
-// baselines and advances them. Deltas are exact: every counter movement is
-// shipped exactly once, which is what keeps the coordinator's merged totals
-// equal to the sum of the workers'.
+// buildUpdate ships the collector's movement since the last update and
+// advances the baseline. Deltas are exact: every counter movement is shipped
+// exactly once, which is what keeps the coordinator's merged totals equal to
+// the sum of the workers'.
 func (a *workerAgent) buildUpdate() StatsUpdate {
 	a.seq++
-	u := StatsUpdate{
-		Seq:    a.seq,
-		Window: int64(time.Since(a.start) / a.windowDur()),
-	}
-
-	cum := [4]int64{a.c.Committed(), a.c.Aborted(), a.c.Errors(), a.c.Retries()}
-	u.Committed = cum[0] - a.sentCommitted
-	u.Aborted = cum[1] - a.sentAborted
-	u.Errors = cum[2] - a.sentErrors
-	u.Retries = cum[3] - a.sentRetries
-	a.sentCommitted, a.sentAborted, a.sentErrors, a.sentRetries = cum[0], cum[1], cum[2], cum[3]
-
-	for i := range a.sentTypes {
-		h := a.c.TypeHistSnapshot(i)
-		last := &a.sentTypes[i]
-		var count int64
-		for _, n := range h.Counts {
-			count += n
-		}
-		sumDelta := h.SumUS - last.hist.SumUS
-		countDelta := count - last.count
-		if countDelta == 0 && sumDelta == 0 && h.MaxUS == last.hist.MaxUS {
-			continue // nothing moved for this type since the last flush
-		}
-		t := TypeDelta{
-			Index: i,
-			Count: countDelta,
-			SumUS: sumDelta,
-			MaxUS: h.MaxUS, // maxima travel cumulative, they do not delta
-		}
-		t.Buckets = make([]int64, len(h.Counts))
-		for j, n := range h.Counts {
-			prev := int64(0)
-			if j < len(last.hist.Counts) {
-				prev = last.hist.Counts[j]
-			}
-			t.Buckets[j] = n - prev
-		}
-		u.SumLatencyUS += sumDelta
-		u.Types = append(u.Types, t)
-		last.count = count
-		last.hist = h // snapshots are fresh copies; safe to retain
-	}
-	a.sentSumUS += u.SumLatencyUS
+	cur := a.c.Cumulative()
+	u := StatsUpdate{Seq: a.seq, Delta: cur.Since(a.sent)}
+	a.sent = cur
 	return u
-}
-
-func (a *workerAgent) windowDur() time.Duration {
-	if a.welcome.WindowUS > 0 {
-		return time.Duration(a.welcome.WindowUS) * time.Microsecond
-	}
-	return time.Second
 }
 
 func (a *workerAgent) writeUpdate(bw *bufio.Writer) error {
@@ -308,10 +239,10 @@ func (a *workerAgent) writeUpdate(bw *bufio.Writer) error {
 
 func (a *workerAgent) writeHeartbeat(bw *bufio.Writer) error {
 	hb := Heartbeat{
-		Committed: a.sentCommitted,
-		Aborted:   a.sentAborted,
-		Errors:    a.sentErrors,
-		Retries:   a.sentRetries,
+		Committed: a.sent.Committed,
+		Aborted:   a.sent.Aborted,
+		Errors:    a.sent.Errors,
+		Retries:   a.sent.Retries,
 	}
 	if err := WriteFrame(bw, FrameHeartbeat, hb.encode()); err != nil {
 		return err

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -104,6 +106,113 @@ func TestMergeMismatchedLengths(t *testing.T) {
 	}
 	if sa.Count != 6 || sa.Max != 20000*time.Microsecond {
 		t.Fatalf("unexpected merged summary: %+v", sa)
+	}
+}
+
+// TestMergeDeltaEqualsDirectRecording is the property the cluster's merged
+// feed rests on: a collector fed the Deltas of two source collectors holds
+// exactly what one collector recording every outcome itself holds — the same
+// windows, the same Snapshot (percentiles and response time included) and
+// the same totals. Sources flush before the clock moves, as a worker's flush
+// lands before the merged window it belongs to rotates.
+func TestMergeDeltaEqualsDirectRecording(t *testing.T) {
+	const windowDur = 10 * time.Millisecond
+	base := time.Unix(1000, 0)
+	cur := base
+	newCollector := func() *Collector {
+		c := NewCollectorWindow([]string{"x", "y", "z"}, windowDur)
+		c.start = base
+		c.now = func() time.Time { return cur }
+		return c
+	}
+	direct, merged := newCollector(), newCollector()
+	srcs := []*Collector{newCollector(), newCollector()}
+	sent := make([]Delta, len(srcs))
+	flush := func() {
+		for i, src := range srcs {
+			now := src.Cumulative()
+			merged.Merge(now.Since(sent[i]))
+			sent[i] = now
+		}
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	statuses := []Status{StatusOK, StatusOK, StatusOK, StatusAborted, StatusRetry, StatusError}
+	for op := 0; op < 2000; op++ {
+		if rng.Intn(20) == 0 {
+			flush()
+			cur = cur.Add(time.Duration(rng.Intn(15)) * time.Millisecond)
+		}
+		w, ti, st := rng.Intn(len(srcs)), rng.Intn(3), statuses[rng.Intn(len(statuses))]
+		lat := time.Duration(1+rng.Int63n(1<<uint(4+rng.Intn(16)))) * time.Microsecond
+		if rng.Intn(2) == 0 {
+			resp := lat + time.Duration(rng.Int63n(int64(lat)+1))
+			direct.Recorder(w).RecordPaced(ti, st, lat, resp)
+			srcs[w].Recorder(w).RecordPaced(ti, st, lat, resp)
+		} else {
+			direct.Recorder(w).Record(ti, st, lat)
+			srcs[w].Recorder(w).Record(ti, st, lat)
+		}
+	}
+	flush()
+	cur = cur.Add(2 * windowDur)
+
+	want, got := direct.Windows(), merged.Windows()
+	if len(want) < 30 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged windows differ from direct recording (%d vs %d windows)", len(got), len(want))
+	}
+	ws, gs := direct.Snapshot(), merged.Snapshot()
+	if ws.Response.Count == 0 || !reflect.DeepEqual(gs, ws) {
+		t.Fatalf("merged snapshot %+v\n!= direct snapshot %+v", gs, ws)
+	}
+	if !reflect.DeepEqual(merged.Cumulative(), direct.Cumulative()) {
+		t.Fatal("merged cumulative counters differ from direct recording")
+	}
+}
+
+// TestMergeConcurrent merges from several goroutines while one records and
+// one reads windows: no outcome is lost, double-counted or torn (run under
+// -race).
+func TestMergeConcurrent(t *testing.T) {
+	c := NewCollectorWindow([]string{"x", "y"}, 5*time.Millisecond)
+	one := Delta{Committed: 1, Types: []TypeDelta{{Index: 1, Lat: HistSnapshot{Counts: []int64{0, 0, 1}, SumUS: 2, MaxUS: 2}}}}
+	const mergers, merges, records = 4, 500, 500
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < mergers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < merges; i++ {
+				c.Merge(one)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < records; i++ {
+			c.Recorder(0).RecordPaced(0, StatusOK, time.Microsecond, 3*time.Microsecond)
+		}
+	}()
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for next := 0; ; {
+			select {
+			case <-stop:
+				return
+			default:
+				next += len(c.WindowsSince(next))
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-read
+	s := c.Snapshot()
+	if s.Committed != mergers*merges+records || s.TypeCounts[1] != mergers*merges || s.Response.Count != records {
+		t.Fatalf("snapshot after concurrent merges: %+v", s)
 	}
 }
 
