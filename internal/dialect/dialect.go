@@ -20,6 +20,10 @@ type Statement struct {
 	ID        string
 	Canonical string
 	overrides map[string]string
+	// resolved memoizes SQL's answer per dialect name as asked: the rewrite
+	// rules are regexps, and a benchmark resolves its statements on every
+	// transaction. Override clears it.
+	resolved map[string]string
 }
 
 // Catalog holds the statements of one benchmark and the dialect rewrites.
@@ -38,7 +42,7 @@ func NewCatalog() *Catalog {
 func (c *Catalog) Register(id, sql string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stmts[id] = &Statement{ID: id, Canonical: sql, overrides: map[string]string{}}
+	c.stmts[id] = &Statement{ID: id, Canonical: sql, overrides: map[string]string{}, resolved: map[string]string{}}
 	return id
 }
 
@@ -48,22 +52,36 @@ func (c *Catalog) Override(id, dialect, sql string) {
 	defer c.mu.Unlock()
 	if st, ok := c.stmts[id]; ok {
 		st.overrides[strings.ToLower(dialect)] = sql
+		clear(st.resolved)
 	}
 }
 
 // SQL resolves the statement text for a dialect, falling back to the
-// canonical form, and applies the dialect's mechanical rewrites.
+// canonical form, and applies the dialect's mechanical rewrites. The answer
+// is computed once per (id, dialect) and memoized until the next Override.
 func (c *Catalog) SQL(id, dialectName string) (string, bool) {
 	c.mu.RLock()
 	st, ok := c.stmts[id]
+	var sql string
+	var hit bool
+	if ok {
+		sql, hit = st.resolved[dialectName]
+	}
 	c.mu.RUnlock()
 	if !ok {
 		return "", false
 	}
-	if sql, ok := st.overrides[strings.ToLower(dialectName)]; ok {
+	if hit {
 		return sql, true
 	}
-	return Rewrite(st.Canonical, dialectName), true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sql, ok = st.overrides[strings.ToLower(dialectName)]
+	if !ok {
+		sql = Rewrite(st.Canonical, dialectName)
+	}
+	st.resolved[dialectName] = sql
+	return sql, true
 }
 
 // IDs lists the registered statement ids.

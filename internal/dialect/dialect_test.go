@@ -1,7 +1,9 @@
 package dialect
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -23,14 +25,18 @@ func TestRegisterAndResolve(t *testing.T) {
 func TestOverrideWinsOverRewrite(t *testing.T) {
 	c := NewCatalog()
 	c.Register("q", "SELECT a FROM t LIMIT 5")
+	// Resolve first, so the override must also replace a memoized answer.
+	if sql, _ := c.SQL("q", "Derby"); !strings.Contains(sql, "FETCH FIRST 5") {
+		t.Fatalf("derby rewrite = %q", sql)
+	}
 	c.Override("q", "derby", "SELECT a FROM t FETCH FIRST 5 ROWS ONLY -- expert variant")
-	sql, _ := c.SQL("q", "derby")
-	if !strings.Contains(sql, "expert variant") {
-		t.Fatalf("override not used: %q", sql)
+	for _, d := range []string{"derby", "Derby"} {
+		if sql, _ := c.SQL("q", d); !strings.Contains(sql, "expert variant") {
+			t.Fatalf("override not used for %s: %q", d, sql)
+		}
 	}
 	// Other dialects still get the canonical (possibly rewritten) form.
-	sql, _ = c.SQL("q", "mysql")
-	if !strings.Contains(sql, "LIMIT 5") {
+	if sql, _ := c.SQL("q", "mysql"); !strings.Contains(sql, "LIMIT 5") {
 		t.Fatalf("mysql variant = %q", sql)
 	}
 }
@@ -77,5 +83,50 @@ func TestIDs(t *testing.T) {
 	c.Register("b", "SELECT 2 FROM t")
 	if len(c.IDs()) != 2 {
 		t.Fatalf("IDs = %v", c.IDs())
+	}
+}
+
+// TestSQLMemoizedWithoutAllocs: after the first resolution a repeated SQL
+// call is a map hit — no regexp run and no allocation.
+func TestSQLMemoizedWithoutAllocs(t *testing.T) {
+	c := NewCatalog()
+	c.Register("scan", "SELECT * FROM t WHERE k >= ? AND k <= ? LIMIT 100")
+	want, _ := c.SQL("scan", "postgres")
+	avg := testing.AllocsPerRun(100, func() {
+		if got, ok := c.SQL("scan", "postgres"); !ok || got != want {
+			t.Fatalf("SQL = %q, %v; want %q", got, ok, want)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("repeated SQL allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestSQLConcurrentWithOverride runs resolutions against overrides of the
+// same statement; under -race it fails if SQL reads a statement's maps
+// outside the catalog lock.
+func TestSQLConcurrentWithOverride(t *testing.T) {
+	c := NewCatalog()
+	c.Register("q", "SELECT a FROM t LIMIT 5")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if g == 0 {
+					c.Override("q", "derby", fmt.Sprintf("SELECT a FROM t -- variant %d", i))
+					continue
+				}
+				if sql, ok := c.SQL("q", []string{"derby", "mysql", "postgres"}[i%3]); !ok || sql == "" {
+					t.Errorf("SQL = %q, %v", sql, ok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if sql, _ := c.SQL("q", "derby"); sql != "SELECT a FROM t -- variant 499" {
+		t.Fatalf("last override not visible: %q", sql)
 	}
 }

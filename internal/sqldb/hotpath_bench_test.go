@@ -2,6 +2,8 @@ package sqldb
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"benchpress/internal/sqldb/txn"
@@ -155,5 +157,73 @@ func TestPreparedPointReadAllocSmoke(t *testing.T) {
 	}
 	if testing.Verbose() {
 		fmt.Printf("prepared point read: %.1f allocs/op (budget %d)\n", avg, budget)
+	}
+}
+
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
+// TestPreparedRangeScanAllocSmoke is the bytes gate beside the point-read
+// one, wired into scripts/verify.sh: a prepared 100-row SELECT * over an
+// 11-column YCSB-shaped table may allocate at most 1.25x the result's own
+// values (100 rows x 11 columns x 32 B). The result rows are the one
+// allocation a scan cannot avoid, so this trips when sqlval.Value widens
+// (EXPERIMENTS.md E-VALUE) or a per-row copy creeps into the scan path.
+func TestPreparedRangeScanAllocSmoke(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	const rows, cols = 100, 11
+	e := Open(Config{Mode: txn.MVCC})
+	s := e.Session()
+	ddl := "CREATE TABLE usertable (ycsb_key INT NOT NULL"
+	ins := "INSERT INTO usertable (ycsb_key"
+	for f := 1; f < cols; f++ {
+		ddl += fmt.Sprintf(", field%d VARCHAR(100)", f)
+		ins += fmt.Sprintf(", field%d", f)
+	}
+	ddl += ", PRIMARY KEY (ycsb_key))"
+	ins += ") VALUES (?" + strings.Repeat(", ?", cols-1) + ")"
+	if _, err := s.Exec(ddl); err != nil {
+		t.Fatal(err)
+	}
+	args := make([]any, cols)
+	for k := 0; k < 4*rows; k++ {
+		args[0] = k
+		for f := 1; f < cols; f++ {
+			args[f] = strings.Repeat(string(rune('a'+f)), 100)
+		}
+		if _, err := s.Exec(ins, args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := s.Prepare("SELECT * FROM usertable WHERE ycsb_key >= ? AND ycsb_key <= ? LIMIT 100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var i int
+	scan := func() {
+		lo := (i % 3) * rows
+		res, err := st.Exec(lo, lo+rows-1)
+		if err != nil || len(res.Rows) != rows {
+			t.Fatalf("rows=%v err=%v", res, err)
+		}
+		i++
+	}
+	scan() // warm the plan and the executor pool
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	const budget = 1.25 * rows * cols * 32
+	if perOp > budget {
+		t.Fatalf("prepared %d-row scan allocates %.0f B/op, budget %.0f", rows, perOp, budget)
+	}
+	if testing.Verbose() {
+		fmt.Printf("prepared range scan: %.0f B/op (budget %.0f)\n", perOp, budget)
 	}
 }

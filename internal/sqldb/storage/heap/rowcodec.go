@@ -77,7 +77,7 @@ func DecodeRow(b []byte) ([]sqlval.Value, error) {
 			case sqlval.KindFloat:
 				vals = append(vals, sqlval.NewFloat(math.Float64frombits(u)))
 			default:
-				vals = append(vals, sqlval.NewTime(time.Unix(0, int64(u)).UTC()))
+				vals = append(vals, sqlval.NewTime(time.Unix(0, int64(u))))
 			}
 		case sqlval.KindString:
 			if len(b) < 4 {

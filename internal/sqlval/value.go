@@ -1,10 +1,14 @@
 // Package sqlval defines the dynamically typed value system shared by the
 // SQL parser, planner, executor, and storage layers of the embedded engine.
 //
-// A Value is a small tagged union. Values are compared with SQL semantics:
-// NULL sorts before everything and never compares equal to anything under
-// Equal (three-valued logic is handled by the executor); numeric kinds
-// (integer and float) compare with each other after widening.
+// A Value is a small tagged union of one string and one int64 word: floats
+// are stored as their IEEE-754 bits and timestamps as UTC Unix nanoseconds,
+// so a Value is 32 bytes with a single pointer. Timestamps are therefore
+// limited to the instants an int64 of nanoseconds can name (1677-09-21
+// through 2262-04-11) and carry no location. Values are compared with SQL
+// semantics: NULL sorts before everything and never compares equal to
+// anything under Equal (three-valued logic is handled by the executor);
+// numeric kinds (integer and float) compare with each other after widening.
 package sqlval
 
 import (
@@ -57,13 +61,28 @@ func (k Kind) String() string {
 }
 
 // Value is a single SQL value. The zero Value is NULL.
+//
+// The layout is one string and one int64 word: i holds an integer, a
+// boolean (0/1), the math.Float64bits of a float, or the UTC Unix
+// nanoseconds of a timestamp; s holds a string. Every stored row, index key
+// and result row is a slice of Values, so this size is what the engine's
+// memory and GC cost scale with (EXPERIMENTS.md E-VALUE); the layout test
+// pins it at 32 bytes.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
-	t    time.Time
+	i    int64
+	kind Kind
 }
+
+// The representable timestamps: the instants whose Unix nanoseconds fit in
+// an int64 (1677-09-21 through 2262-04-11).
+var (
+	minTime = time.Unix(0, math.MinInt64).UTC()
+	maxTime = time.Unix(0, math.MaxInt64).UTC()
+)
+
+// f decodes a KindFloat value's bits.
+func (v Value) f() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Null returns the SQL NULL value.
 func Null() Value { return Value{} }
@@ -72,7 +91,7 @@ func Null() Value { return Value{} }
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
@@ -86,8 +105,27 @@ func NewBool(v bool) Value {
 	return Value{kind: KindBool, i: i}
 }
 
-// NewTime returns a timestamp value.
-func NewTime(v time.Time) Value { return Value{kind: KindTime, t: v} }
+// NewTime returns a timestamp value. The location and monotonic reading of v
+// are dropped; an instant outside minTime..maxTime saturates to the nearer
+// end (FromGo and CoerceKind report it as an error instead).
+func NewTime(v time.Time) Value {
+	switch {
+	case v.Before(minTime):
+		v = minTime
+	case v.After(maxTime):
+		v = maxTime
+	}
+	return Value{kind: KindTime, i: v.UnixNano()}
+}
+
+// checkedTime is NewTime for instants arriving from outside the engine: one
+// that is not representable is an error rather than a saturated value.
+func checkedTime(t time.Time) (Value, error) {
+	if t.Before(minTime) || t.After(maxTime) {
+		return Value{}, fmt.Errorf("sqlval: timestamp %s outside %s..%s", t.Format(time.RFC3339Nano), minTime.Format(time.RFC3339), maxTime.Format(time.RFC3339))
+	}
+	return NewTime(t), nil
+}
 
 // FromGo converts a native Go value into a Value. Supported inputs are nil,
 // all integer widths, float32/64, string, bool, time.Time, and Value itself.
@@ -125,7 +163,7 @@ func FromGo(v any) (Value, error) {
 	case bool:
 		return NewBool(x), nil
 	case time.Time:
-		return NewTime(x), nil
+		return checkedTime(x)
 	default:
 		return Value{}, fmt.Errorf("sqlval: unsupported Go type %T", v)
 	}
@@ -153,12 +191,12 @@ func (v Value) Int() int64 {
 	case KindInt, KindBool:
 		return v.i
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.f())
 	case KindString:
 		n, _ := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		return n
 	case KindTime:
-		return v.t.UnixNano()
+		return v.i
 	default:
 		return 0
 	}
@@ -168,7 +206,7 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindInt, KindBool:
 		return float64(v.i)
 	case KindString:
@@ -193,16 +231,17 @@ func (v Value) Bool() bool {
 	case KindBool, KindInt:
 		return v.i != 0
 	case KindFloat:
-		return v.f != 0
+		return v.f() != 0
 	default:
 		return false
 	}
 }
 
-// Time returns the value as a time.Time (zero time if not a timestamp).
+// Time returns the value as a time.Time in UTC (zero time if not a
+// timestamp).
 func (v Value) Time() time.Time {
 	if v.kind == KindTime {
-		return v.t
+		return time.Unix(0, v.i).UTC()
 	}
 	return time.Time{}
 }
@@ -216,13 +255,13 @@ func (v Value) Go() any {
 	case KindInt:
 		return v.i
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindString:
 		return v.s
 	case KindBool:
 		return v.i != 0
 	case KindTime:
-		return v.t
+		return v.Time()
 	default:
 		return nil
 	}
@@ -236,7 +275,7 @@ func (v Value) Format() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
@@ -245,7 +284,7 @@ func (v Value) Format() string {
 		}
 		return "false"
 	case KindTime:
-		return v.t.UTC().Format("2006-01-02 15:04:05.000")
+		return v.Time().Format("2006-01-02 15:04:05.000")
 	default:
 		return "?"
 	}
@@ -285,31 +324,22 @@ func Compare(a, b Value) int {
 	}
 	if a.kind == b.kind {
 		switch a.kind {
-		case KindInt, KindBool:
+		case KindInt, KindBool, KindTime:
 			return cmpInt(a.i, b.i)
 		case KindFloat:
-			return cmpFloat(a.f, b.f)
+			return cmpFloat(a.f(), b.f())
 		case KindString:
 			return strings.Compare(a.s, b.s)
-		case KindTime:
-			switch {
-			case a.t.Before(b.t):
-				return -1
-			case a.t.After(b.t):
-				return 1
-			default:
-				return 0
-			}
 		}
 	}
 	if numericKind(a.kind) && numericKind(b.kind) {
 		return cmpFloat(a.Float(), b.Float())
 	}
 	if a.kind == KindTime && numericKind(b.kind) {
-		return cmpInt(a.t.UnixNano(), b.Int())
+		return cmpInt(a.i, b.Int())
 	}
 	if numericKind(a.kind) && b.kind == KindTime {
-		return cmpInt(a.Int(), b.t.UnixNano())
+		return cmpInt(a.Int(), b.i)
 	}
 	// Mixed string/number: compare numerically when both parse, else by text.
 	if a.kind == KindString && numericKind(b.kind) {
@@ -382,16 +412,16 @@ func EncodeKey(vals []Value) string {
 		case KindInt, KindBool:
 			b.WriteByte(0x01)
 			writeUint64(&b, uint64(v.i))
-		case KindFloat:
+		case KindFloat: // i holds the float's bits
 			b.WriteByte(0x02)
-			writeUint64(&b, math.Float64bits(v.f))
+			writeUint64(&b, uint64(v.i))
 		case KindString:
 			b.WriteByte(0x03)
 			writeUint64(&b, uint64(len(v.s)))
 			b.WriteString(v.s)
 		case KindTime:
 			b.WriteByte(0x04)
-			writeUint64(&b, uint64(v.t.UnixNano()))
+			writeUint64(&b, uint64(v.i))
 		}
 	}
 	return b.String()
@@ -471,7 +501,7 @@ func CoerceKind(v Value, k Kind) (Value, error) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			return NewInt(int64(v.f)), nil
+			return NewInt(int64(v.f())), nil
 		case KindBool:
 			return NewInt(v.i), nil
 		case KindString:
@@ -481,7 +511,7 @@ func CoerceKind(v Value, k Kind) (Value, error) {
 			}
 			return NewInt(n), nil
 		case KindTime:
-			return NewInt(v.t.UnixNano()), nil
+			return NewInt(v.i), nil
 		}
 	case KindFloat:
 		switch v.kind {
@@ -501,7 +531,7 @@ func CoerceKind(v Value, k Kind) (Value, error) {
 		case KindInt:
 			return NewBool(v.i != 0), nil
 		case KindFloat:
-			return NewBool(v.f != 0), nil
+			return NewBool(v.f() != 0), nil
 		case KindString:
 			b, err := strconv.ParseBool(strings.ToLower(strings.TrimSpace(v.s)))
 			if err != nil {
@@ -512,11 +542,11 @@ func CoerceKind(v Value, k Kind) (Value, error) {
 	case KindTime:
 		switch v.kind {
 		case KindInt:
-			return NewTime(time.Unix(0, v.i)), nil
+			return Value{kind: KindTime, i: v.i}, nil
 		case KindString:
 			for _, layout := range []string{"2006-01-02 15:04:05.000", "2006-01-02 15:04:05", "2006-01-02", time.RFC3339} {
 				if t, err := time.Parse(layout, v.s); err == nil {
-					return NewTime(t), nil
+					return checkedTime(t)
 				}
 			}
 			return Value{}, fmt.Errorf("sqlval: cannot coerce %q to TIMESTAMP", v.s)

@@ -102,8 +102,8 @@ go test -race -count=1 -run 'Crash' ./internal/consistency/
 echo "==> go test -race storage stress (striped store + online vacuum)"
 go test -race -count=1 -run 'TestStorageStressConcurrent' ./internal/sqldb/txn/
 
-echo "==> allocation smoke (prepared point read)"
-go test -count=1 -run 'TestPreparedPointReadAllocSmoke' -v ./internal/sqldb/ | grep -E 'allocs/op|PASS|FAIL'
+echo "==> allocation smoke (prepared point read: objects; prepared 100-row scan: bytes)"
+go test -count=1 -run 'TestPreparedPointReadAllocSmoke|TestPreparedRangeScanAllocSmoke' -v ./internal/sqldb/ | grep -E 'allocs/op|B/op|PASS|FAIL'
 
 echo "==> bench smoke (bench/run.sh --smoke: the one benchmark, end to end)"
 # Tiny scales, one measured second, quarter rates: every workload runs
