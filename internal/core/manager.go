@@ -447,8 +447,14 @@ func (m *Manager) Done() <-chan struct{} { return m.done }
 // several gaps the loop releases all that are due as one batch, each stamped
 // with its own due time. When the queue is full the arrival is postponed
 // (counted, not queued), so delivered throughput never exceeds the target.
+// The schedule ends with the last phase: an arrival due after it belongs to
+// no phase, so none is admitted however late the phase timer fires.
 func (m *Manager) produce(ctx context.Context) {
 	rng := rand.New(rand.NewSource(m.opts.Seed * 7919))
+	var end time.Duration
+	for _, p := range m.phases {
+		end += p.Duration
+	}
 	var pace pacer
 	// next is the due time of the arrival being generated, in nanoseconds
 	// since m.start.
@@ -491,6 +497,10 @@ func (m *Manager) produce(ctx context.Context) {
 			gap = time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
 		}
 		next += gap
+		if next >= end {
+			<-ctx.Done()
+			return
+		}
 		now := time.Since(m.start)
 		if next > now {
 			var ok bool

@@ -260,7 +260,20 @@ func TestDeliveredArrivalTimes(t *testing.T) {
 				if in := at % (on + off); in > on+slack {
 					return fmt.Errorf("transaction started %v into a cycle whose burst lasts %v", in, on)
 				}
-				perCycle[at/(on+off)]++
+				c := int(at / (on + off))
+				if c < len(perCycle) {
+					perCycle[c]++
+					continue
+				}
+				// A start past the phase: the manager must never admit an
+				// arrival due after it, but a start can run late. Start and
+				// queue wait are truncated to microseconds, so the due time
+				// read back from them may be one microsecond high.
+				due := at - time.Duration(e.QueueUS)*time.Microsecond
+				if due > 3*(on+off) {
+					t.Fatalf("arrival due %v admitted after the %v phase", due, 3*(on+off))
+				}
+				return fmt.Errorf("arrival due %v started %v late, past the %v phase", due, at-due, 3*(on+off))
 			}
 			for c, n := range perCycle {
 				if want := inBurst * on.Seconds(); math.Abs(float64(n)-want) > 0.1*want {

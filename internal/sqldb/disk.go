@@ -176,6 +176,7 @@ func OpenDisk(cfg Config) (*Engine, error) {
 	// new transaction's updates replay as committed even if it lost.
 	e.mgr.AdvanceTxnID(ds.recovery.MaxTxnID)
 	delay := cfg.CommitDelay
+	e.mgr.Writers = ds.log
 	e.mgr.OnCommit = func(t *txn.Txn) error {
 		if err := ds.onCommit(t); err != nil {
 			return err
@@ -621,17 +622,22 @@ func (ds *diskStore) maybeCheckpointLocked() error {
 
 // onCommit is the disk engine's durability hook: the three steps of the file
 // comment. The commit record's verdict covers the update records before it.
+// The transaction's writer announcement is used up by the commit record, or
+// withdrawn on every path that returns before appending it.
 func (ds *diskStore) onCommit(t *txn.Txn) error {
 	writes := t.WriteSet()
 	if len(writes) == 0 {
+		ds.log.Withdraw()
 		return nil // claims-only transaction: nothing durable changes
 	}
 	tk, err := ds.sequence(t.ID(), writes)
+	if err == nil {
+		err = ds.log.AppendCommit(wal.EncodeCommit(t.ID()))
+	} else {
+		ds.log.Withdraw()
+	}
 	if tk == nil {
 		return err
-	}
-	if err == nil {
-		err = ds.log.AppendRecord(wal.EncodeCommit(t.ID()))
 	}
 	return ds.finish(tk, err)
 }

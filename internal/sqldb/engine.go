@@ -121,8 +121,9 @@ func Open(cfg Config) *Engine {
 	if cfg.WALPolicy != wal.SyncNone || cfg.CommitDelay > 0 || cfg.WALSink != nil {
 		e.log = wal.New(wal.Options{Policy: cfg.WALPolicy, GroupInterval: cfg.GroupCommitInterval, W: cfg.WALSink})
 		delay := cfg.CommitDelay
+		e.mgr.Writers = e.log
 		e.mgr.OnCommit = func(t *txn.Txn) error {
-			if err := e.log.AppendRecord(wal.EncodeCommit(t.ID())); err != nil {
+			if err := e.log.AppendCommit(wal.EncodeCommit(t.ID())); err != nil {
 				return err
 			}
 			if delay > 0 {

@@ -79,8 +79,24 @@ type Manager struct {
 	// is durable-ordered but before its versions become visible. The engine
 	// uses it to append to the WAL and emulate commit latency. The
 	// transaction is fully populated but not yet stamped; hooks may read
-	// its identity and write set but must not retain it.
+	// its identity and write set but must not retain it. The hook inherits
+	// the transaction's Writers announcement: on every path it either uses
+	// it up by appending the commit record or hands it back with Withdraw.
 	OnCommit func(t *Txn) error
+
+	// Writers, when set, is told when a transaction becomes a writer (its
+	// first write-set entry) and, through Withdraw, when a writer ends
+	// without OnCommit having taken its announcement over. Set before
+	// concurrent use.
+	Writers Writers
+}
+
+// Writers counts writing transactions whose commit record has not reached
+// the log yet; *wal.Log implements it. Group commit seals a batch the moment
+// no such writer is left outside it.
+type Writers interface {
+	Announce()
+	Withdraw()
 }
 
 // Mutation selects one deliberately broken engine invariant. The zero value
@@ -193,6 +209,9 @@ type Txn struct {
 	committed bool
 	nwrites   int
 	writes    []writeOp
+	// announced records an announcement to Manager.Writers that this
+	// transaction still owns: finish withdraws it.
+	announced bool
 	held      map[lockKey]lockMode
 	// claimed tracks rows already write-claimed under MVCC so repeated
 	// writes to one row within the txn skip the conflict check.
@@ -446,7 +465,7 @@ func (t *Txn) claim(tbl *storage.Table, id storage.RowID, row *storage.Row) erro
 	switch {
 	case v.End() == storage.Infinity:
 		v.SetEnd(myMark)
-		t.writes = append(t.writes, writeOp{kind: opClaim, table: tbl, rowID: id, row: row, oldV: v})
+		t.record(writeOp{kind: opClaim, table: tbl, rowID: id, row: row, oldV: v})
 		t.claimed[row] = true
 		return nil
 	case storage.Uncommitted(v.End()):
@@ -481,7 +500,7 @@ func (t *Txn) Insert(tbl *storage.Table, data []sqlval.Value) error {
 			return err
 		}
 	}
-	t.writes = append(t.writes, writeOp{kind: opInsert, table: tbl, rowID: id, row: row, newV: row.Latest(), disp: disp})
+	t.record(writeOp{kind: opInsert, table: tbl, rowID: id, row: row, newV: row.Latest(), disp: disp})
 	if t.claimed != nil {
 		t.claimed[row] = true
 	}
@@ -545,7 +564,7 @@ func (t *Txn) Update(tbl *storage.Table, id storage.RowID, newData []sqlval.Valu
 		row.Unlock()
 		return fmt.Errorf("txn: update unique violation: %v: %w", err, ErrWriteConflict)
 	}
-	t.writes = append(t.writes, writeOp{kind: opUpdate, table: tbl, rowID: id, row: row, newV: newV, oldV: old})
+	t.record(writeOp{kind: opUpdate, table: tbl, rowID: id, row: row, newV: newV, oldV: old})
 	if t.claimed != nil {
 		t.claimed[row] = true
 	}
@@ -587,8 +606,18 @@ func (t *Txn) Delete(tbl *storage.Table, id storage.RowID) error {
 	} else {
 		return ErrWriteConflict
 	}
-	t.writes = append(t.writes, writeOp{kind: opDelete, table: tbl, rowID: id, row: row, oldV: v})
+	t.record(writeOp{kind: opDelete, table: tbl, rowID: id, row: row, oldV: v})
 	return nil
+}
+
+// record appends op to the write set. The first entry makes the
+// transaction a writer, which it announces to Manager.Writers.
+func (t *Txn) record(op writeOp) {
+	if len(t.writes) == 0 && t.mgr.Writers != nil {
+		t.mgr.Writers.Announce()
+		t.announced = true
+	}
+	t.writes = append(t.writes, op)
 }
 
 // HasWrites reports whether the transaction has written anything.
@@ -604,6 +633,7 @@ func (t *Txn) Commit() error {
 	// versions become visible, outside the stamping critical section so
 	// that group commit can overlap many waiters.
 	if m.OnCommit != nil && len(t.writes) > 0 {
+		t.announced = false // OnCommit uses it up or withdraws it
 		if err := m.OnCommit(t); err != nil {
 			t.Abort()
 			return fmt.Errorf("txn: commit durability failed: %w", err)
@@ -719,6 +749,10 @@ func (t *Txn) finish() {
 		m.locks.release(t.id, t.held)
 	case MVCC:
 		m.epochs.exit(t.slot, t.id)
+	}
+	if t.announced {
+		m.Writers.Withdraw()
+		t.announced = false
 	}
 	t.nwrites = len(t.writes)
 	t.writes = nil

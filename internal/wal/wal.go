@@ -14,22 +14,26 @@
 // verdict before touching the sink - so the on-disk byte order always equals
 // the append sequence order even when flushes overlap with fills.
 //
-// Generations seal on the earlier of two triggers. (1) The configured
-// interval: an append that arrives past the deadline seals inline, and the
-// generation's first appender arms a backstop so a batch is never stranded —
-// the interval is the hard cap on batching delay, so a lone commit always
-// pays it, which is what makes a 1ms goserial feel different from a 200µs
-// gomvcc. (2) Straggler quiescence: once a generation holds two or more
-// records and no new append has arrived for a few tens of microseconds,
-// every committer that could join the batch is already parked in it —
-// benchmark terminals are closed-loop, so waiting out the rest of the
-// interval cannot grow the group, it only idles the machine. This is the
-// same "wait briefly for stragglers, then flush" heuristic production group
-// commit uses. The leader still yields the processor (runtime.Gosched) in
-// two loops: through the last leadSpinWindow before the deadline while it is
-// alone, because an idle scheduler sleeps in the netpoller, whose timeout is
-// whole milliseconds, so a shorter timer fires up to a millisecond late; and
-// through the quiescence watch once the batch has company.
+// Generations seal on the first of three triggers. (1) A complete batch: the
+// engine announces every writing transaction before it appends its commit
+// record (Announce), and takes the announcement back if the record will
+// never come (Withdraw). Once a generation holds two or more records and no
+// announced writer is still outside the log, nothing else can join the
+// batch, so the append (or withdrawal) that makes it complete seals it
+// inline and writes it. (2) The configured interval: an append that arrives
+// past the deadline seals inline, and the generation's first appender arms a
+// backstop so a batch is never stranded — the interval is the hard cap on
+// batching delay, so a lone commit always pays it, which is what makes a 1ms
+// goserial feel different from a 200µs gomvcc. (3) Straggler quiescence, the
+// fallback for announced writers that are slow to arrive (parked on a lock,
+// an interactive session between statements, a long body): once a
+// generation holds two or more records and no new append has arrived for a
+// few tens of microseconds, the batch seals without them. The leader still
+// yields the processor (runtime.Gosched) in two loops: through the last
+// leadSpinWindow before the deadline while it is alone, because an idle
+// scheduler sleeps in the netpoller, whose timeout is whole milliseconds, so
+// a shorter timer fires up to a millisecond late; and through the quiescence
+// watch once the batch has company but is not yet complete.
 package wal
 
 import (
@@ -112,12 +116,31 @@ type Log struct {
 	closed  atomic.Bool
 	stopped sync.WaitGroup
 
+	// outside counts announced writers whose commit record is not yet in
+	// the log (Announce, Withdraw, AppendCommit).
+	outside atomic.Int64
+	// quietWait is the straggler watch's quiescence window, strugglerWait
+	// outside of tests.
+	quietWait time.Duration
+
 	seq     atomic.Uint64
 	durable atomic.Uint64 // highest sequence number known written to the sink
 	records atomic.Uint64
 	flushes atomic.Uint64
 	bytes   atomic.Uint64
+	seals   [numSealReasons]atomic.Uint64
 }
+
+// sealReason names the trigger that sealed a generation.
+type sealReason uint8
+
+const (
+	sealDeadline sealReason = iota // the interval ran out (or SyncAsync's tick)
+	sealComplete                   // two or more records, no announced writer outside
+	sealQuiet                      // the straggler watch saw no append for quietWait
+	sealFlush                      // Flush or Close
+	numSealReasons
+)
 
 // Options configures a Log.
 type Options struct {
@@ -144,11 +167,12 @@ func New(opts Options) *Log {
 		opts.W = io.Discard
 	}
 	l := &Log{
-		policy:   opts.Policy,
-		interval: opts.GroupInterval,
-		w:        opts.W,
-		gen:      newGen(nil),
-		stop:     make(chan struct{}),
+		policy:    opts.Policy,
+		interval:  opts.GroupInterval,
+		w:         opts.W,
+		gen:       newGen(nil),
+		stop:      make(chan struct{}),
+		quietWait: strugglerWait,
 	}
 	l.seq.Store(opts.StartSeq)
 	l.durable.Store(opts.StartSeq)
@@ -171,9 +195,9 @@ func newGen(prev *flushGen) *flushGen {
 	}
 }
 
-// strugglerWait is the quiescence window for early seals: once a generation
-// has at least two records and no append has arrived for this long, the
-// batch is considered complete and flushes without waiting out the interval.
+// strugglerWait is the quiescence window of the straggler watch: once a
+// generation has at least two records and no append has arrived for this
+// long, the batch seals without the announced writers still outside the log.
 // It only needs to exceed the inter-append gap of committers racing into the
 // same group (single-digit microseconds); the interval remains the upper
 // bound whenever traffic keeps trickling in.
@@ -211,24 +235,88 @@ type Record struct {
 // known durable and the caller's commit must not be acknowledged. The log
 // replays with ReadRecords.
 func (l *Log) AppendRecord(payload []byte) error {
+	return l.appendRecord(payload, false)
+}
+
+// AppendCommit is AppendRecord for the commit record of a writer that
+// called Announce: it also uses up that announcement, whatever the verdict.
+// The announcement is used up under the same lock that counts the record
+// into its generation, so the batch never looks complete while the writer
+// is between the two.
+func (l *Log) AppendCommit(payload []byte) error {
+	return l.appendRecord(payload, true)
+}
+
+// Announce tells the log that one more writer will append a commit record
+// with AppendCommit. Every announcement must be used up by that append or
+// taken back with Withdraw: the count of announced writers outside the log
+// is what lets a generation seal the moment its batch is complete, and a
+// leaked announcement turns the complete seal off while a surplus
+// withdrawal seals batches early.
+func (l *Log) Announce() {
+	if l != nil {
+		l.outside.Add(1)
+	}
+}
+
+// Withdraw takes back an announcement whose commit record will never be
+// appended: the writer aborted, or had nothing to log. If that leaves the
+// open generation complete, Withdraw seals and writes it.
+func (l *Log) Withdraw() {
+	if l == nil || l.outside.Add(-1) > 0 || l.policy != SyncGroup {
+		return
+	}
+	l.mu.Lock()
+	g := l.gen
+	if g.count.Load() < 2 || l.outside.Load() > 0 {
+		l.mu.Unlock()
+		return
+	}
+	l.sealLocked(sealComplete)
+	l.mu.Unlock()
+	l.complete(g)
+}
+
+// Outside returns the number of announced writers whose commit record is
+// not yet in the log. It is zero whenever no writing transaction is in
+// flight.
+func (l *Log) Outside() int64 {
+	if l == nil {
+		return 0
+	}
+	return l.outside.Load()
+}
+
+// appendRecord is AppendRecord and AppendCommit: announced says whether the
+// record uses up an announcement.
+func (l *Log) appendRecord(payload []byte, announced bool) error {
 	if l == nil {
 		return nil
 	}
 	f := frame(payload)
 	l.mu.Lock()
+	if announced {
+		l.outside.Add(-1)
+	}
 	if _, err := l.enqueueLocked(f); err != nil || l.policy != SyncGroup {
 		l.mu.Unlock()
 		return err // SyncNone wrote through; SyncAsync's flusher drains the buffer
 	}
 	g := l.gen
-	if g.count.Add(1) == 2 {
+	n := g.count.Add(1)
+	if n == 2 {
 		close(g.grown) // wake the backstop leader's straggler watch
 	}
 	deadline := l.lastSeal.Add(l.interval)
-	if !time.Now().Before(deadline) {
-		// This append crossed the flush deadline: seal inline and become
-		// the generation's writer, with no pacing at all.
-		l.sealLocked()
+	reason, seal := sealDeadline, !time.Now().Before(deadline)
+	if !seal && n >= 2 && l.outside.Load() <= 0 {
+		reason, seal = sealComplete, true
+	}
+	if seal {
+		// This append crossed the flush deadline or completed the batch:
+		// seal inline and become the generation's writer, with no pacing
+		// at all.
+		l.sealLocked(reason)
 		l.mu.Unlock()
 		l.complete(g)
 		return g.err
@@ -322,7 +410,7 @@ func (l *Log) Flush() error {
 	}
 	l.mu.Lock()
 	g := l.gen
-	l.sealLocked()
+	l.sealLocked(sealFlush)
 	l.mu.Unlock()
 	l.complete(g)
 	return g.err
@@ -356,12 +444,13 @@ const leadSpinWindow = 2 * time.Millisecond
 // waits out the interval — a lone commit owes the full flush cadence —
 // sleeping through all but the last leadSpinWindow of it and yielding the
 // rest, so the seal lands on the deadline instead of the runtime's rounded
-// millisecond past it. Once a second record arrives the leader switches to the straggler
+// millisecond past it. A second record usually completes the batch, and its
+// appender seals it; the leader then only waits for the verdict. If an
+// announced writer is still outside, the leader switches to the straggler
 // watch: it yields the processor in a loop, and when no new record has
-// appeared for strugglerWait — every closed-loop committer is already
-// parked in the batch — or the deadline passes, it seals. The watch costs a
-// bounded few tens of microseconds per flush, and only when the leader
-// actually has company.
+// appeared for quietWait or the deadline passes, it seals. The watch costs
+// a bounded few tens of microseconds per flush, and only when a writer the
+// batch was waiting for is slow to arrive.
 func (l *Log) lead(g *flushGen, deadline time.Time) error {
 	if g.count.Load() < 2 && !g.isSealed.Load() {
 		if rem := time.Until(deadline); rem > leadSpinWindow {
@@ -383,27 +472,36 @@ func (l *Log) lead(g *flushGen, deadline time.Time) error {
 	}
 	last := g.count.Load()
 	quiet := time.Now()
-	for !g.isSealed.Load() && !l.closed.Load() {
+	reason := sealQuiet
+	for !g.isSealed.Load() {
+		if l.closed.Load() {
+			reason = sealFlush
+			break
+		}
 		now := time.Now()
 		if n := g.count.Load(); n != last {
 			last, quiet = n, now
-		} else if now.Sub(quiet) >= strugglerWait || !now.Before(deadline) {
+		} else if !now.Before(deadline) {
+			reason = sealDeadline
+			break
+		} else if now.Sub(quiet) >= l.quietWait {
 			break
 		}
 		runtime.Gosched()
 	}
-	if l.sealIfOpen(g) {
+	if l.sealIfOpen(g, reason) {
 		l.complete(g)
 	}
 	<-g.done
 	return g.err
 }
 
-// sealLocked seals the open generation: it takes ownership of the buffered
-// bytes, opens a successor chained behind it, and stamps the seal time that
-// paces the next deadline. Callers hold l.mu and must call complete on the
-// sealed generation after unlocking.
-func (l *Log) sealLocked() {
+// sealLocked seals the open generation for the given reason: it takes
+// ownership of the buffered bytes, opens a successor chained behind it, and
+// stamps the seal time that paces the next deadline. Callers hold l.mu and
+// must call complete on the sealed generation after unlocking.
+func (l *Log) sealLocked(reason sealReason) {
+	l.seals[reason].Add(1)
 	g := l.gen
 	g.buf = l.buf
 	g.maxSeq = l.seq.Load()
@@ -416,13 +514,13 @@ func (l *Log) sealLocked() {
 
 // sealIfOpen seals g if it is still the open generation and reports whether
 // the caller became its writer.
-func (l *Log) sealIfOpen(g *flushGen) bool {
+func (l *Log) sealIfOpen(g *flushGen, reason sealReason) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.gen != g {
 		return false
 	}
-	l.sealLocked()
+	l.sealLocked(reason)
 	return true
 }
 
@@ -477,19 +575,19 @@ func (l *Log) flusher() {
 	for {
 		select {
 		case <-ticker.C:
-			l.flushNow()
+			l.flushNow(sealDeadline)
 		case <-l.stop:
-			l.flushNow()
+			l.flushNow(sealFlush)
 			return
 		}
 	}
 }
 
 // flushNow seals the current generation and completes it synchronously.
-func (l *Log) flushNow() {
+func (l *Log) flushNow(reason sealReason) {
 	l.mu.Lock()
 	g := l.gen
-	l.sealLocked()
+	l.sealLocked(reason)
 	l.mu.Unlock()
 	l.complete(g)
 }
@@ -505,7 +603,7 @@ func (l *Log) Close() {
 	}
 	close(l.stop)
 	l.stopped.Wait()
-	l.flushNow()
+	l.flushNow(sealFlush)
 }
 
 // Records returns the number of appended records: one commit record per
@@ -532,6 +630,29 @@ func (l *Log) Bytes() uint64 {
 		return 0
 	}
 	return l.bytes.Load()
+}
+
+// DeadlineSeals returns the number of generations sealed because the
+// interval ran out: by an append past the deadline, by a lone leader's
+// backstop, or by SyncAsync's periodic flusher.
+func (l *Log) DeadlineSeals() uint64 { return l.sealCount(sealDeadline) }
+
+// CompleteSeals returns the number of generations sealed the moment their
+// batch was complete: two or more records and no announced writer outside.
+func (l *Log) CompleteSeals() uint64 { return l.sealCount(sealComplete) }
+
+// QuietSeals returns the number of generations the straggler watch sealed
+// after no append arrived for its quiescence window.
+func (l *Log) QuietSeals() uint64 { return l.sealCount(sealQuiet) }
+
+// FlushSeals returns the number of generations sealed by Flush or Close.
+func (l *Log) FlushSeals() uint64 { return l.sealCount(sealFlush) }
+
+func (l *Log) sealCount(r sealReason) uint64 {
+	if l == nil {
+		return 0
+	}
+	return l.seals[r].Load()
 }
 
 // ErrTorn reports that a log ended in a torn (incomplete or checksum-corrupt)

@@ -190,8 +190,8 @@ func TestCloseWaitsForWaiterVerdict(t *testing.T) {
 		return 0, errDevice
 	})
 	// An interval far beyond the test, its deadline armed by an empty seal:
-	// only the two-record straggler seal can end the generation, leaving
-	// one of the two appenders a plain waiter.
+	// only the two-record complete seal can end the generation, leaving one
+	// of the two appenders a plain waiter.
 	l := New(Options{Policy: SyncGroup, GroupInterval: time.Hour, W: w})
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
@@ -366,5 +366,148 @@ func TestPipelinedCommitOrdering(t *testing.T) {
 	}
 	if f := l.Flushes(); f < 2 || f >= uint64(len(recs)) {
 		t.Fatalf("flushes = %d for %d records: pipeline did not batch", f, len(recs))
+	}
+}
+
+// seals is a log's seal counters by reason.
+type seals struct{ deadline, complete, quiet, flush uint64 }
+
+func sealsOf(l *Log) seals {
+	return seals{l.DeadlineSeals(), l.CompleteSeals(), l.QuietSeals(), l.FlushSeals()}
+}
+
+// armedLog is a SyncGroup log whose first deadline is armed by an empty
+// Flush seal, so only the triggers under test can seal what follows.
+func armedLog(t *testing.T, interval time.Duration) *Log {
+	t.Helper()
+	l := New(Options{Policy: SyncGroup, GroupInterval: interval})
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// appendCommits runs one AppendCommit per id concurrently and returns a
+// channel that yields each verdict.
+func appendCommits(l *Log, ids ...uint64) <-chan error {
+	errs := make(chan error, len(ids))
+	for _, id := range ids {
+		go func(id uint64) { errs <- l.AppendCommit(EncodeCommit(id)) }(id)
+	}
+	return errs
+}
+
+func waitVerdicts(t *testing.T, errs <-chan error, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCompleteBatchSeals: two announced writers make a complete batch the
+// moment the second commit record arrives, with no straggler watch and no
+// interval wait (the interval is an hour).
+func TestCompleteBatchSeals(t *testing.T) {
+	l := armedLog(t, time.Hour)
+	defer l.Close()
+	l.Announce()
+	l.Announce()
+	waitVerdicts(t, appendCommits(l, 1, 2), 2)
+	if got, want := sealsOf(l), (seals{flush: 1, complete: 1}); got != want {
+		t.Fatalf("seals = %+v, want %+v", got, want)
+	}
+	if l.Outside() != 0 || l.Flushes() != 1 {
+		t.Fatalf("outside = %d, flushes = %d; want 0 and 1", l.Outside(), l.Flushes())
+	}
+}
+
+// TestWithdrawCompletesBatch: a generation holds two commit records while a
+// third announced writer is still outside; its withdrawal completes the
+// batch. The straggler watch is stretched past the test so that only the
+// withdrawal can seal.
+func TestWithdrawCompletesBatch(t *testing.T) {
+	l := armedLog(t, time.Hour)
+	defer l.Close()
+	l.quietWait = time.Hour
+	for i := 0; i < 3; i++ {
+		l.Announce()
+	}
+	errs := appendCommits(l, 1, 2)
+	for l.Records() < 2 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if s := sealsOf(l); s.complete != 0 {
+		t.Fatalf("sealed %+v with an announced writer outside", s)
+	}
+	l.Withdraw()
+	waitVerdicts(t, errs, 2)
+	if got, want := sealsOf(l), (seals{flush: 1, complete: 1}); got != want {
+		t.Fatalf("seals = %+v, want %+v", got, want)
+	}
+	if l.Outside() != 0 {
+		t.Fatalf("outside = %d", l.Outside())
+	}
+}
+
+// TestStragglerWatchIsTheFallback: while an announced writer stays outside,
+// a two-record generation seals on the straggler watch, not the hour-long
+// interval.
+func TestStragglerWatchIsTheFallback(t *testing.T) {
+	l := armedLog(t, time.Hour)
+	defer l.Close()
+	for i := 0; i < 3; i++ {
+		l.Announce()
+	}
+	waitVerdicts(t, appendCommits(l, 1, 2), 2)
+	l.Withdraw()
+	if got, want := sealsOf(l), (seals{flush: 1, quiet: 1}); got != want {
+		t.Fatalf("seals = %+v, want %+v", got, want)
+	}
+}
+
+// TestLoneCommitPaysTheInterval: a one-record generation never seals early,
+// announced or not.
+func TestLoneCommitPaysTheInterval(t *testing.T) {
+	const interval = 2 * time.Millisecond
+	start := time.Now()
+	l := armedLog(t, interval)
+	defer l.Close()
+	l.Announce()
+	if err := l.AppendCommit(EncodeCommit(1)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < interval {
+		t.Fatalf("lone commit returned after %v, before the %v interval", took, interval)
+	}
+	if got, want := sealsOf(l), (seals{flush: 1, deadline: 1}); got != want {
+		t.Fatalf("seals = %+v, want %+v", got, want)
+	}
+}
+
+// TestOnlyCommitRecordsUseAnnouncements: asynchronous records, plain
+// records and Flush leave the announced count alone.
+func TestOnlyCommitRecordsUseAnnouncements(t *testing.T) {
+	l := armedLog(t, 50*time.Microsecond)
+	defer l.Close()
+	l.Announce()
+	if _, err := l.AppendRecordAsync(EncodeCommit(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendRecord(EncodeCommit(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := l.Outside(); n != 1 {
+		t.Fatalf("outside = %d after async, plain and Flush, want 1", n)
+	}
+	if err := l.AppendCommit(EncodeCommit(3)); err != nil {
+		t.Fatal(err)
+	}
+	if n := l.Outside(); n != 0 {
+		t.Fatalf("outside = %d after the commit record, want 0", n)
 	}
 }

@@ -99,8 +99,12 @@ echo "==> crash-recovery torture (-race): one kill sweep over the metered device
 # regression names itself here.
 go test -race -count=1 -run 'Crash' ./internal/consistency/
 
-echo "==> go test -race storage stress (striped store + online vacuum)"
-go test -race -count=1 -run 'TestStorageStressConcurrent' ./internal/sqldb/txn/
+echo "==> go test -race storage stress (striped store + online vacuum; group-commit writer count)"
+# TestWriterCountBalances: the announced-writer count that lets group commit
+# seal a complete batch must return to exactly zero, and never dip below it,
+# under wait-die deaths, write conflicts, claims-only transactions,
+# rollbacks and DDL on the RAM and disk engines.
+go test -race -count=1 -run 'TestStorageStressConcurrent|TestWriterCountBalances' ./internal/sqldb/txn/ ./internal/sqldb/
 
 echo "==> allocation smoke (prepared point read: objects; prepared 100-row scan: bytes)"
 go test -count=1 -run 'TestPreparedPointReadAllocSmoke|TestPreparedRangeScanAllocSmoke' -v ./internal/sqldb/ | grep -E 'allocs/op|B/op|PASS|FAIL'
