@@ -34,8 +34,9 @@ type Personality struct {
 	GroupCommitInterval time.Duration
 	// CommitDelay adds fixed per-commit latency.
 	CommitDelay time.Duration
-	// VacuumInterval paces the engine's online background vacuum (zero
-	// disables it).
+	// VacuumInterval paces the engine's online background vacuum, which
+	// reclaims the rows commits updated or deleted (zero disables it; the
+	// backlog of touched rows then waits for an explicit Engine.Vacuum).
 	VacuumInterval time.Duration
 	// DataDir, when non-empty, makes the instance disk-resident: committed
 	// rows live in a slotted-page heap behind a buffer pool with ARIES-style

@@ -41,9 +41,11 @@ type Config struct {
 	// per-commit work (e.g. synchronous replication). Zero disables it.
 	CommitDelay time.Duration
 	// VacuumInterval enables the online background vacuum: every interval,
-	// one row-store segment per table is swept at the transaction manager's
-	// current low-watermark. Zero disables the goroutine; Engine.Vacuum
-	// remains available for manual, deterministic reclamation.
+	// the rows that commits updated or deleted at or below the transaction
+	// manager's current low-watermark are reclaimed (txn.Manager.Vacuum).
+	// Zero disables the goroutine; Engine.Vacuum remains available for
+	// manual, deterministic reclamation, and until it runs the backlog of
+	// touched rows grows with the writes, as the version chains do.
 	VacuumInterval time.Duration
 	// WALSink, when non-nil, receives the WAL's flushed bytes (default
 	// discard): one framed wal.EncodeCommit record per writing commit on a
@@ -143,22 +145,17 @@ func Open(cfg Config) *Engine {
 	return e
 }
 
-// vacuumLoop is the online vacuum: each tick it sweeps the next row-store
-// segment of every table at a fresh low-watermark, so reclamation cost is
-// spread thin across the run instead of stopping the world. It exits when
-// Close fires.
+// vacuumLoop is the online vacuum: each tick it reclaims, at a fresh
+// low-watermark, the rows commits touched since the last tick, so
+// reclamation cost follows the write rate instead of the table sizes. It
+// exits when Close fires.
 func (e *Engine) vacuumLoop() {
 	ticker := time.NewTicker(e.cfg.VacuumInterval)
 	defer ticker.Stop()
-	cursor := 0
 	for {
 		select {
 		case <-ticker.C:
-			horizon, now := e.mgr.Horizon(), e.mgr.Clock()
-			for _, t := range e.Tables() {
-				t.VacuumSegment(cursor%t.Segments(), horizon, now)
-			}
-			cursor++
+			e.mgr.Vacuum()
 		case <-e.vacStop:
 			return
 		}
@@ -219,15 +216,10 @@ func (e *Engine) Tables() []*storage.Table {
 	return out
 }
 
-// Vacuum reclaims dead rows across all tables, returning slots reclaimed.
-func (e *Engine) Vacuum() int {
-	horizon, now := e.mgr.Horizon(), e.mgr.Clock()
-	total := 0
-	for _, t := range e.Tables() {
-		total += t.Vacuum(horizon, now)
-	}
-	return total
-}
+// Vacuum reclaims, at the current low-watermark, every row that commits
+// updated or deleted, returning the number of dead rows retired. It drains
+// the same backlog as the background vacuum (txn.Manager.Vacuum).
+func (e *Engine) Vacuum() int { return e.mgr.Vacuum() }
 
 // TruncateAll empties every table (the game's "reset the database" action).
 // Callers must quiesce the workload first. On a disk-backed engine the first

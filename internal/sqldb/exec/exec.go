@@ -717,12 +717,13 @@ func entryMatches(lv *scanLevel, e storage.IndexEntry, vk verifyKind, data []sql
 // prepared-statement re-execution) allocate nothing.
 //
 // Range scans are batch-oriented: the qualifying index entries are
-// materialized into sc.entries in one pass under the index latch, then
-// consumed latch-free. That holds the latch once per scan instead of once
-// per entry, and lets process acquire row locks (the slow path) without an
-// index latch held. Sequential scans on the fast read path pull rows
-// BatchSize at a time through sc.batch, so process receives the row pointer
-// directly and skips the per-row id decode and slot load of Table.Row.
+// materialized into sc.entries a chunk at a time under the index latch,
+// then consumed latch-free (scanRange). That holds the latch once per chunk
+// instead of once per entry, and lets process acquire row locks (the slow
+// path) without an index latch held. Sequential scans on the fast read path
+// pull rows BatchSize at a time through sc.batch, so process receives the
+// row pointer directly and skips the per-row id decode and slot load of
+// Table.Row.
 func scanAccess(lv *scanLevel, env *Env, sc *levelScratch, fast bool, process func(e storage.IndexEntry, vk verifyKind, row *storage.Row) bool) error {
 	switch lv.access.kind {
 	case accessPrimaryEq:
@@ -735,31 +736,12 @@ func scanAccess(lv *scanLevel, env *Env, sc *levelScratch, fast bool, process fu
 			process(storage.IndexEntry{Key: key, ID: id}, verifyPrim, nil)
 		}
 		return nil
-	case accessPrimary:
+	case accessPrimary, accessSecondary:
 		from, to, err := scanBounds(&lv.access, env, sc)
 		if err != nil {
 			return err
 		}
-		sc.entries = lv.tbl.AppendPrimaryRange(sc.entries[:0], from, to, lv.access.desc)
-		for i := range sc.entries {
-			if !process(sc.entries[i], verifyPrim, nil) {
-				break
-			}
-		}
-		sc.releaseEntries()
-		return nil
-	case accessSecondary:
-		from, to, err := scanBounds(&lv.access, env, sc)
-		if err != nil {
-			return err
-		}
-		sc.entries = lv.tbl.AppendSecondaryRange(sc.entries[:0], lv.access.ord, from, to, lv.access.desc)
-		for i := range sc.entries {
-			if !process(sc.entries[i], verifySec, nil) {
-				break
-			}
-		}
-		sc.releaseEntries()
+		scanRange(lv, sc, from, to, process)
 		return nil
 	default:
 		// Sequential scan, one latch-free row-store segment at a time.
@@ -798,6 +780,43 @@ func scanAccess(lv *scanLevel, env *Env, sc *levelScratch, fast bool, process fu
 		}
 		return nil
 	}
+}
+
+// firstRangeChunk is the size of a range scan's first chunk. Chunks double
+// up to maxRetainedEntries, so the entry scratch never outgrows what pooled
+// executor state keeps.
+const firstRangeChunk = 32
+
+// scanRange streams one index range to process in chunks that grow from
+// firstRangeChunk to maxRetainedEntries: each chunk is one latch hold, and
+// the next resumes strictly after the last key handed out. A LIMIT that
+// stops the scan early (process returns false) therefore materializes one
+// small chunk, not the whole range, while a long scan still takes few latch
+// holds.
+func scanRange(lv *scanLevel, sc *levelScratch, from, to []sqlval.Value, process func(e storage.IndexEntry, vk verifyKind, row *storage.Row) bool) {
+	vk := verifyPrim
+	if lv.access.kind == accessSecondary {
+		vk = verifySec
+	}
+	var after []sqlval.Value
+	for chunk := firstRangeChunk; ; chunk = min(2*chunk, maxRetainedEntries) {
+		if vk == verifyPrim {
+			sc.entries = lv.tbl.AppendPrimaryRange(sc.entries[:0], from, to, after, lv.access.desc, chunk)
+		} else {
+			sc.entries = lv.tbl.AppendSecondaryRange(sc.entries[:0], lv.access.ord, from, to, after, lv.access.desc, chunk)
+		}
+		for i := range sc.entries {
+			if !process(sc.entries[i], vk, nil) {
+				sc.releaseEntries()
+				return
+			}
+		}
+		if len(sc.entries) < chunk {
+			break
+		}
+		after = sc.entries[len(sc.entries)-1].Key
+	}
+	sc.releaseEntries()
 }
 
 // ------------------------------------------------------------- aggregation

@@ -160,6 +160,65 @@ func TestPreparedPointReadAllocSmoke(t *testing.T) {
 	}
 }
 
+// TestWritingTxnAllocSmoke is the allocation gate for a multi-statement
+// writing transaction, TPC-C's shape, wired into scripts/verify.sh: on a
+// prepared MVCC session, BEGIN, five SELECT ... FOR UPDATE point reads and
+// five updates, COMMIT. A finished transaction hands its write set and
+// claim map back to the manager for the next one, so neither is re-grown
+// per transaction; the budget leaves headroom over the measured count so it
+// trips when that reuse is lost or a per-statement buffer creeps back in.
+func TestWritingTxnAllocSmoke(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	e := Open(Config{Mode: txn.MVCC})
+	s := e.Session()
+	if _, err := s.Exec("CREATE TABLE sm (id INT NOT NULL, v INT, PRIMARY KEY (id))"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := s.Exec("INSERT INTO sm (id, v) VALUES (?, ?)", i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sel, err := s.Prepare("SELECT v FROM sm WHERE id = ? FOR UPDATE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := s.Prepare("UPDATE sm SET v = ? WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var i int
+	body := func() {
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 5; j++ {
+			id := (i*5 + j) % 100
+			if res, err := sel.Exec(id); err != nil || len(res.Rows) != 1 {
+				t.Fatalf("rows=%v err=%v", res, err)
+			}
+			if _, err := upd.Exec(i, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	body() // warm the plans, the executor pool and the write-set pool
+	avg := testing.AllocsPerRun(200, body)
+	const budget = 40
+	if avg > budget {
+		t.Fatalf("5-read 5-update transaction allocates %.1f objects/op, budget %d", avg, budget)
+	}
+	if testing.Verbose() {
+		fmt.Printf("writing transaction: %.1f allocs/op (budget %d)\n", avg, budget)
+	}
+}
+
 // raceEnabled is set in race builds (race_test.go).
 var raceEnabled bool
 

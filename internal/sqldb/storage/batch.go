@@ -1,6 +1,9 @@
 package storage
 
-import "benchpress/internal/sqlval"
+import (
+	"benchpress/internal/btree"
+	"benchpress/internal/sqlval"
+)
 
 // BatchSize is the number of rows a batched scan hands to the executor at a
 // time. 64 ids+pointers is one kilobyte of scratch — small enough to live in
@@ -53,43 +56,57 @@ func (t *Table) ScanBatch(g int, cursor int64, b *RowBatch) int64 {
 // into buf (reusing its capacity) and returns the extended slice, in key
 // order, or reversed when desc is set. Nil bounds are open; bounds may be
 // key prefixes padded with sqlval.Top() to form inclusive upper bounds.
-// Entries are collected under the index read latch and the latch is
-// released before return, so callers may freely re-enter the table while
-// consuming the batch.
-func (t *Table) AppendPrimaryRange(buf []IndexEntry, from, to []sqlval.Value, desc bool) []IndexEntry {
+//
+// max > 0 stops after max entries, and a non-nil after resumes the scan
+// strictly past that key in scan order, so a caller streams a long range in
+// chunks by passing the last key of the previous chunk: keys are unique per
+// tree, and an entry's key slice is immutable, so it stays a valid cursor
+// after the latch is released. Entries are collected under the index read
+// latch and the latch is released before return, so callers may freely
+// re-enter the table while consuming a chunk.
+func (t *Table) AppendPrimaryRange(buf []IndexEntry, from, to, after []sqlval.Value, desc bool, max int) []IndexEntry {
 	if t.primary == nil {
 		return buf
 	}
-	collect := func(key []sqlval.Value, id int64) bool {
-		buf = append(buf, IndexEntry{Key: key, ID: id})
-		return true
-	}
-	t.primary.RLock()
-	if desc {
-		t.primary.DescendRange(to, from, collect)
-	} else {
-		t.primary.AscendRange(from, to, collect)
-	}
-	t.primary.RUnlock()
-	return buf
+	return appendRange(t.primary, buf, from, to, after, desc, max)
 }
 
 // AppendSecondaryRange is AppendPrimaryRange over a secondary index's
 // physical keys (indexed columns plus a trailing row id). Callers build
 // prefix bounds directly: a bare prefix is an inclusive lower bound, and a
 // prefix extended with sqlval.Top() is an inclusive upper bound.
-func (t *Table) AppendSecondaryRange(buf []IndexEntry, ord int, from, to []sqlval.Value, desc bool) []IndexEntry {
-	sec := t.secondaryList()[ord]
+func (t *Table) AppendSecondaryRange(buf []IndexEntry, ord int, from, to, after []sqlval.Value, desc bool, max int) []IndexEntry {
+	return appendRange(t.secondaryList()[ord].tree, buf, from, to, after, desc, max)
+}
+
+// appendRange is the one range walk behind both Append*Range entry points.
+func appendRange(tree *btree.Latched, buf []IndexEntry, from, to, after []sqlval.Value, desc bool, max int) []IndexEntry {
+	start := len(buf)
+	skip := after != nil // the walk starts at after itself if it is still there
 	collect := func(key []sqlval.Value, id int64) bool {
+		if skip {
+			skip = false
+			if sqlval.CompareRows(key, after) == 0 {
+				return true
+			}
+		}
 		buf = append(buf, IndexEntry{Key: key, ID: id})
-		return true
+		return max <= 0 || len(buf)-start < max
 	}
-	sec.tree.RLock()
+	tree.RLock()
 	if desc {
-		sec.tree.DescendRange(to, from, collect)
+		hi := to
+		if after != nil {
+			hi = after
+		}
+		tree.DescendRange(hi, from, collect)
 	} else {
-		sec.tree.AscendRange(from, to, collect)
+		lo := from
+		if after != nil {
+			lo = after
+		}
+		tree.AscendRange(lo, to, collect)
 	}
-	sec.tree.RUnlock()
+	tree.RUnlock()
 	return buf
 }

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -120,28 +122,42 @@ func (t *Table) freeRow(id RowID, row *Row) {
 	seg.mu.Unlock()
 }
 
-// unlinkRow empties a slot lock-free, without recycling it: the local index
-// goes back to the allocator only via recycleLocals, once the epoch
-// low-watermark proves no reader can still resolve a stale reference to it.
-// The compare-and-swap keeps racing releases harmless, like freeRow.
-func (t *Table) unlinkRow(id RowID, row *Row) (int64, bool) {
+// unlinkRow empties a slot lock-free, without recycling it: the slot goes
+// back to the allocator only via recycleIDs, once the epoch low-watermark
+// proves no reader can still resolve a stale reference to it. The
+// compare-and-swap keeps racing releases harmless, like freeRow.
+func (t *Table) unlinkRow(id RowID, row *Row) bool {
 	g, local := rowAddr(id)
 	dir := *t.segs[g].dir.Load()
 	pi := local >> pageShift
 	if pi < 0 || pi >= int64(len(dir)) || !dir[pi][local&pageMask].CompareAndSwap(row, nil) {
-		return 0, false
+		return false
 	}
 	t.segs[g].count.Add(-1)
-	return local, true
+	return true
 }
 
-// recycleLocals returns a batch of unlinked slot indexes of one segment to
-// its free list in a single lock hold.
-func (t *Table) recycleLocals(g int64, locals []int64) {
-	seg := &t.segs[g]
-	seg.mu.Lock()
-	seg.free = append(seg.free, locals...)
-	seg.mu.Unlock()
+// recycleIDs returns unlinked slots to their segments' free lists, one lock
+// hold per segment: ids are sorted by segment in place first.
+func (t *Table) recycleIDs(ids []RowID) {
+	slices.SortFunc(ids, func(a, b RowID) int {
+		ga, _ := rowAddr(a)
+		gb, _ := rowAddr(b)
+		return cmp.Compare(ga, gb)
+	})
+	for i := 0; i < len(ids); {
+		g, _ := rowAddr(ids[i])
+		seg := &t.segs[g]
+		seg.mu.Lock()
+		for ; i < len(ids); i++ {
+			gi, local := rowAddr(ids[i])
+			if gi != g {
+				break
+			}
+			seg.free = append(seg.free, local)
+		}
+		seg.mu.Unlock()
+	}
 }
 
 // Row returns the row with the given id, if it exists. Latch-free.
@@ -170,7 +186,7 @@ func (t *Table) RowCount() int {
 }
 
 // Segments returns the number of row-store stripes, for callers that iterate
-// or vacuum one stripe at a time.
+// one stripe at a time.
 func (t *Table) Segments() int { return NumSegments }
 
 // ScanSegment iterates every occupied slot of one segment in local order,

@@ -28,9 +28,9 @@
 //
 // In practice writers hold a single index latch at a time and never take a
 // row latch under an index latch: uniqueness checks read row chains through
-// their atomic fields only. Vacuum takes row latches first but drops them
-// before touching index latches (a committed-dead row is immutable, so its
-// images can be unindexed outside the row latch).
+// their atomic fields only. Vacuum takes no row latch at all (a
+// committed-dead row is immutable, so its images can be unindexed without
+// one) and one index latch at a time.
 //
 // Writers must install a row version into its chain *before* loading the
 // secondary-index list they will maintain (Insert installs the slot first;
@@ -70,9 +70,6 @@ func Uncommitted(ts uint64) bool { return ts >= TxnMark && ts != Infinity }
 
 // MarkOwner extracts the transaction id from an uncommitted mark.
 func MarkOwner(ts uint64) uint64 { return ts &^ (TxnMark | DeleteFlag) }
-
-// IsDeleteMark reports whether ts is an uncommitted delete mark.
-func IsDeleteMark(ts uint64) bool { return Uncommitted(ts) && ts&DeleteFlag != 0 }
 
 // RowID identifies a row slot within one table.
 type RowID = int64
@@ -217,10 +214,12 @@ type Table struct {
 	secondaries atomic.Pointer[[]secondaryIndex]
 
 	// vacMu serializes vacuum passes (manual and background) against each
-	// other; vacuum never blocks readers or writers. It also guards limbo,
-	// the retired-slot batches awaiting the epoch low-watermark.
-	vacMu sync.Mutex
-	limbo []limboBatch
+	// other and against Truncate; vacuum never blocks readers or writers.
+	// It also guards limbo, the retired-slot batches awaiting the epoch
+	// low-watermark, and vacDead, Reclaim's reused dead-row scratch.
+	vacMu   sync.Mutex
+	limbo   []limboBatch
+	vacDead []Candidate
 }
 
 // NewTable allocates physical storage for a catalog table.
@@ -293,6 +292,16 @@ func (t *Table) pkKey(data []sqlval.Value) []sqlval.Value {
 		key[i] = data[c]
 	}
 	return key
+}
+
+// samePK reports whether two images of a row carry the same primary key.
+func (t *Table) samePK(a, b []sqlval.Value) bool {
+	for _, c := range t.Meta.PKCols {
+		if sqlval.Compare(a[c], b[c]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // indexKey builds a physical secondary-index key: the indexed columns plus
@@ -485,12 +494,6 @@ func (t *Table) RollbackInsert(id RowID, data []sqlval.Value, disp Displaced) {
 	}
 }
 
-// RemoveRow unlinks a row slot and all its index entries; used when rolling
-// back an insert that displaced nothing.
-func (t *Table) RemoveRow(id RowID, data []sqlval.Value) {
-	t.RollbackInsert(id, data, Displaced{})
-}
-
 // AddVersionIndexEntries installs index entries for a new version image
 // produced by an update (the row id is unchanged; only changed keys need new
 // entries, and unchanged composites are idempotent inserts). oldData is the
@@ -502,9 +505,11 @@ func (t *Table) RemoveRow(id RowID, data []sqlval.Value) {
 // (entries shared with the old image are left in place) and ErrDuplicateKey
 // is returned with the row image unchanged in the indexes. Callers must
 // have installed the image into the row chain already — see the package
-// comment's write-path invariant.
+// comment's write-path invariant. An update that keeps the primary key
+// leaves the primary index alone: the old image's entry already maps the
+// key to this row, and no insert can take the key of a live row.
 func (t *Table) AddVersionIndexEntries(id RowID, oldData, data []sqlval.Value) error {
-	if t.primary != nil {
+	if t.primary != nil && !t.samePK(oldData, data) {
 		key := t.pkKey(data)
 		t.primary.Lock()
 		t.primary.Insert(key, id)
@@ -559,15 +564,13 @@ func (t *Table) unwindVersionEntries(id RowID, oldData, data []sqlval.Value, sto
 // given version image (used on rollback of an update whose keys changed, with
 // keep holding the image whose entries must survive).
 func (t *Table) RemoveVersionIndexEntries(id RowID, data, keep []sqlval.Value) {
-	if t.primary != nil {
-		oldKey, keepKey := t.pkKey(data), t.pkKey(keep)
-		if sqlval.CompareRows(oldKey, keepKey) != 0 {
-			t.primary.Lock()
-			if cur, ok := t.primary.Get(oldKey); ok && cur == id {
-				t.primary.Delete(oldKey)
-			}
-			t.primary.Unlock()
+	if t.primary != nil && !t.samePK(data, keep) {
+		oldKey := t.pkKey(data)
+		t.primary.Lock()
+		if cur, ok := t.primary.Get(oldKey); ok && cur == id {
+			t.primary.Delete(oldKey)
 		}
+		t.primary.Unlock()
 	}
 	for _, sec := range t.secondaryList() {
 		oldKey := indexKey(sec.meta, data, id)
@@ -607,7 +610,7 @@ type IndexEntry struct {
 // under the index latch and the callback runs after its release, so
 // callbacks may freely re-enter the table (reads, lock acquisition).
 func (t *Table) ScanPrimaryRange(from, to []sqlval.Value, desc bool, fn func(e IndexEntry) bool) {
-	for _, e := range t.AppendPrimaryRange(make([]IndexEntry, 0, 16), from, to, desc) {
+	for _, e := range t.AppendPrimaryRange(make([]IndexEntry, 0, 16), from, to, nil, desc, 0) {
 		if !fn(e) {
 			return
 		}
@@ -663,7 +666,7 @@ func (t *Table) SecondaryIndexes() []*catalog.Index {
 // bound. The same materialize-then-callback discipline as ScanPrimaryRange
 // applies.
 func (t *Table) ScanSecondaryRange(ord int, from, to []sqlval.Value, desc bool, fn func(e IndexEntry) bool) {
-	for _, e := range t.AppendSecondaryRange(make([]IndexEntry, 0, 16), ord, from, to, desc) {
+	for _, e := range t.AppendSecondaryRange(make([]IndexEntry, 0, 16), ord, from, to, nil, desc, 0) {
 		if !fn(e) {
 			return
 		}

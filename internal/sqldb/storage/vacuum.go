@@ -1,99 +1,146 @@
 package storage
 
-// Version-chain reclamation is epoch-based. A vacuum pass unlinks dead rows
-// immediately — index entries deleted in one batched latch hold per index,
-// row slots emptied with a lock-free compare-and-swap — but does NOT hand
-// the slots back to the allocator. Instead the pass retires them to a limbo
-// batch stamped with the commit clock at unlink time ("now"). Every
-// transaction that was active at the unlink, and so could still resolve a
-// stale index entry or scan cursor to one of those slots, has a snapshot at
-// or below that stamp; once the transaction low-watermark (txn.Horizon)
-// advances strictly past it, nothing that could observe the old occupant is
-// alive, and a later pass recycles the whole batch onto the segment free
-// list in a single lock hold.
-//
-// Compared with the previous design — which classified every row under its
-// latch and paid one segment-mutex acquisition per freed slot — a pass now
-// takes no row latches at all (classification reads the atomic timestamps;
-// a committed-dead version can never be revived, so the verdict is stable),
-// one latch hold per index per pass, and one segment-mutex hold per reaped
-// batch. Readers never block either way: stale index entries and detached
-// chain tails are tolerated by the package's re-validation discipline, and
-// limbo deferral guarantees a slot is never recycled while a transaction
-// that saw its previous occupant's index entries is still running.
+import (
+	"cmp"
+	"slices"
+)
 
-// limboBatch is one vacuum pass's worth of unlinked slots from a single
-// segment, awaiting the epoch low-watermark. Guarded by Table.vacMu.
+// Vacuum follows the write set. A row only ever gains reclaimable work — a
+// superseded chain tail or a committed delete — when a transaction that
+// updated or deleted it commits, so the transaction layer records those rows
+// at commit (txn.Manager's reclaim backlog) and a vacuum pass classifies
+// exactly them, once the low-watermark (txn.Horizon) reaches their commit
+// timestamp. Inserts, claims and aborted writes leave nothing behind and are
+// never visited; neither is the bulk of a table that nobody writes. A pass
+// costs what the workload wrote since the last one, not what the tables hold.
+//
+// Version-chain reclamation is epoch-based. Reclaim unlinks dead rows
+// immediately — row slots emptied with a lock-free compare-and-swap, index
+// entries deleted in one batched latch hold per index — but does NOT hand
+// the slots back to the allocator. Instead it retires them to a limbo batch
+// stamped with the commit clock at unlink time ("now"). Every transaction
+// that was active at the unlink, and so could still resolve a stale index
+// entry or scan cursor to one of those slots, has a snapshot at or below
+// that stamp; once the transaction low-watermark advances strictly past it,
+// nothing that could observe the old occupant is alive, and ReapLimbo
+// recycles the whole batch onto the segment free lists, one lock hold per
+// segment.
+//
+// A pass takes no row latches: classification reads the atomic timestamps,
+// and a committed-dead version can never be revived, so the verdict is
+// stable. Readers never block: stale index entries and detached chain tails
+// are tolerated by the package's re-validation discipline, and limbo
+// deferral guarantees a slot is never recycled while a transaction that saw
+// its previous occupant's index entries is still running.
+
+// Candidate is a row that a committed update or delete may have left
+// reclaimable work in: its id and the row that occupied the slot at commit.
+type Candidate struct {
+	ID  RowID
+	Row *Row
+}
+
+// VacuumStats counts one pass's work.
+type VacuumStats struct {
+	Visited   int // candidates classified (the slot still held the row)
+	Reclaimed int // dead rows unindexed, unlinked and retired to limbo
+	Pruned    int // live rows whose chain tail was cut
+}
+
+// Add accumulates o into s.
+func (s *VacuumStats) Add(o VacuumStats) {
+	s.Visited += o.Visited
+	s.Reclaimed += o.Reclaimed
+	s.Pruned += o.Pruned
+}
+
+// limboBatch is one pass's worth of unlinked slots of a table, awaiting the
+// epoch low-watermark. Its ids may span segments. Guarded by Table.vacMu.
 type limboBatch struct {
 	retireTS uint64 // commit clock at unlink time
-	seg      int64
-	locals   []int64
+	ids      []RowID
 }
 
-// Vacuum removes committed-deleted rows whose delete timestamp is below
-// horizon, along with their index entries, and prunes version chains down to
-// the newest version visible at horizon. now is the current commit clock,
-// used to stamp retired slots (see Manager.Clock). It returns the number of
-// rows retired. Vacuum runs online: it never blocks readers, and writers
-// only ever contend with it on index latches.
-func (t *Table) Vacuum(horizon, now uint64) int {
-	retired := 0
-	for g := 0; g < NumSegments; g++ {
-		retired += t.VacuumSegment(g, horizon, now)
+// classify is the vacuum's verdict on one row at horizon: dead when its
+// newest version is committed-deleted at or below horizon (no reader can
+// ever see it again), otherwise the version whose older tail no reader at
+// horizon needs (nil when there is none to cut).
+func classify(row *Row, horizon uint64) (dead bool, cut *Version) {
+	v := row.Latest()
+	if v != nil && committed(v.Begin()) && committed(v.End()) &&
+		v.End() != Infinity && v.End() <= horizon {
+		return true, nil
 	}
-	return retired
+	for cur := v; cur != nil; cur = cur.Next() {
+		if committed(cur.Begin()) && cur.Begin() <= horizon {
+			if cur.Next() != nil {
+				return false, cur
+			}
+			return false, nil
+		}
+	}
+	return false, nil
 }
 
-// VacuumSegment vacuums one row-store stripe, so a background vacuum can
-// spread its work over time. Passes serialize on vacMu. A row whose newest
-// version is committed-dead below horizon can never change again (no engine
-// revives a committed delete), so the classification needs no row latch;
-// the row's index entries are removed, its slot emptied, and the slot
-// retired to limbo until the low-watermark passes now.
-func (t *Table) VacuumSegment(g int, horizon, now uint64) int {
+// Reclaim vacuums the candidate rows of this table at horizon: dead rows are
+// unlinked, unindexed and retired to limbo stamped now (the current commit
+// clock, see txn.Manager.Clock); live rows get their chain tail pruned. A
+// candidate whose slot no longer holds its row — already unlinked, or
+// recycled for another row — is skipped, so repeated and stale candidates
+// are harmless. cands is sorted by id in place. Passes serialize on vacMu;
+// Reclaim never blocks readers, and writers only contend with it on index
+// latches.
+func (t *Table) Reclaim(cands []Candidate, horizon, now uint64) VacuumStats {
 	t.vacMu.Lock()
 	defer t.vacMu.Unlock()
 
-	t.reapLimbo(horizon)
-
-	var deadIDs []RowID
-	var deadRows []*Row
-	t.ScanSegment(g, func(id RowID, row *Row) bool {
-		v := row.Latest()
-		if v != nil && committed(v.Begin()) && committed(v.End()) &&
-			v.End() != Infinity && v.End() <= horizon {
-			// Entire row is dead to every possible reader, permanently.
-			deadIDs = append(deadIDs, id)
-			deadRows = append(deadRows, row)
-			return true
+	slices.SortFunc(cands, func(a, b Candidate) int { return cmp.Compare(a.ID, b.ID) })
+	var st VacuumStats
+	dead := t.vacDead[:0]
+	for i, c := range cands {
+		if i > 0 && cands[i-1] == c {
+			continue
 		}
-		// Prune the chain tail: keep versions needed by readers at horizon.
-		// Only this pass writes next pointers (vacMu), and a reader that
-		// already loaded the cut point's next keeps a coherent detached
-		// tail, so no latch is needed.
-		for cur := row.Latest(); cur != nil; cur = cur.Next() {
-			if committed(cur.Begin()) && cur.Begin() <= horizon {
-				if cur.Next() != nil {
-					cur.SetNext(nil)
-				}
-				break
+		if cur, ok := t.Row(c.ID); !ok || cur != c.Row {
+			continue
+		}
+		st.Visited++
+		isDead, cut := classify(c.Row, horizon)
+		if !isDead {
+			// Only vacuum writes next pointers (vacMu), and a reader that
+			// already loaded the cut point's next keeps a coherent detached
+			// tail, so no latch is needed.
+			if cut != nil {
+				cut.SetNext(nil)
+				st.Pruned++
 			}
+			continue
 		}
-		return true
-	})
-	if len(deadRows) == 0 {
-		return 0
+		// Empty the slot first: the compare-and-swap makes a racing release
+		// (rollback) harmless, exactly like freeRow, and the slot cannot be
+		// recycled underneath us because it only reaches the free list when
+		// its limbo batch is reaped. A reader resolving one of the row's
+		// index entries meanwhile finds an empty slot, which is what it
+		// would conclude from the dead row anyway.
+		if t.unlinkRow(c.ID, c.Row) {
+			dead = append(dead, c)
+		}
 	}
+	t.vacDead = dead
+	if len(dead) == 0 {
+		return st
+	}
+	st.Reclaimed = len(dead)
 
 	// Unlink index entries in one latch hold per index. The primary entry
 	// is guarded (a concurrent re-insert of the key may own it now); the
 	// secondary keys carry the row id, so unconditional deletes are safe.
 	if t.primary != nil {
 		t.primary.Lock()
-		for i, row := range deadRows {
-			for img := row.Latest(); img != nil; img = img.Next() {
+		for _, c := range dead {
+			for img := c.Row.Latest(); img != nil; img = img.Next() {
 				key := t.pkKey(img.Data)
-				if cur, ok := t.primary.Get(key); ok && cur == deadIDs[i] {
+				if cur, ok := t.primary.Get(key); ok && cur == c.ID {
 					t.primary.Delete(key)
 				}
 			}
@@ -102,45 +149,42 @@ func (t *Table) VacuumSegment(g int, horizon, now uint64) int {
 	}
 	for _, sec := range t.secondaryList() {
 		sec.tree.Lock()
-		for i, row := range deadRows {
-			for img := row.Latest(); img != nil; img = img.Next() {
-				sec.tree.Delete(indexKey(sec.meta, img.Data, deadIDs[i]))
+		for _, c := range dead {
+			for img := c.Row.Latest(); img != nil; img = img.Next() {
+				sec.tree.Delete(indexKey(sec.meta, img.Data, c.ID))
 			}
 		}
 		sec.tree.Unlock()
 	}
 
-	// Empty the slots lock-free and retire them. The compare-and-swap makes
-	// a racing release (rollback) harmless, exactly like freeRow; the slot
-	// cannot be recycled underneath us because it only reaches the free
-	// list when the batch is reaped.
-	locals := make([]int64, 0, len(deadRows))
-	for i, row := range deadRows {
-		if local, ok := t.unlinkRow(deadIDs[i], row); ok {
-			locals = append(locals, local)
-		}
+	ids := make([]RowID, len(dead))
+	for i, c := range dead {
+		ids[i] = c.ID
 	}
-	if len(locals) > 0 {
-		t.limbo = append(t.limbo, limboBatch{retireTS: now, seg: int64(g), locals: locals})
-	}
-	return len(deadRows)
+	t.limbo = append(t.limbo, limboBatch{retireTS: now, ids: ids})
+	clear(dead) // drop the row pointers so the scratch pins nothing
+	return st
 }
 
-// reapLimbo recycles every limbo batch whose retirement stamp the
-// low-watermark has strictly passed. Callers hold vacMu.
-func (t *Table) reapLimbo(horizon uint64) {
-	if len(t.limbo) == 0 {
-		return
-	}
+// ReapLimbo recycles every limbo batch whose retirement stamp the
+// low-watermark has strictly passed, and returns the number of slots still
+// in limbo.
+func (t *Table) ReapLimbo(horizon uint64) int {
+	t.vacMu.Lock()
+	defer t.vacMu.Unlock()
 	keep := t.limbo[:0]
+	left := 0
 	for _, b := range t.limbo {
 		if b.retireTS < horizon {
-			t.recycleLocals(b.seg, b.locals)
+			t.recycleIDs(b.ids)
 		} else {
 			keep = append(keep, b)
+			left += len(b.ids)
 		}
 	}
+	clear(t.limbo[len(keep):])
 	t.limbo = keep
+	return left
 }
 
 // LimboSlots reports the number of retired slots awaiting the low-watermark,
@@ -150,7 +194,24 @@ func (t *Table) LimboSlots() int {
 	defer t.vacMu.Unlock()
 	n := 0
 	for _, b := range t.limbo {
-		n += len(b.locals)
+		n += len(b.ids)
 	}
 	return n
+}
+
+// Unreclaimed sweeps every occupied slot with the vacuum's own
+// classification and counts the rows a pass at horizon would still reclaim
+// (dead) or prune (prunable). It changes nothing. Tests use it to prove the
+// write-set-driven vacuum left nothing behind; it costs a full table scan.
+func (t *Table) Unreclaimed(horizon uint64) (dead, prunable int) {
+	t.ScanAll(func(_ RowID, row *Row) bool {
+		isDead, cut := classify(row, horizon)
+		if isDead {
+			dead++
+		} else if cut != nil {
+			prunable++
+		}
+		return true
+	})
+	return dead, prunable
 }

@@ -62,7 +62,7 @@ func TestEpochReclamationGatesRecycling(t *testing.T) {
 	pin := m.Begin(true)
 	bumpClock(t, m, tbl, dead) // ensure clock > pin.snap
 
-	if n := tbl.Vacuum(m.Horizon(), m.Clock()); n != dead {
+	if n := m.Vacuum(); n != dead {
 		t.Fatalf("vacuum retired %d rows, want %d", n, dead)
 	}
 	if got := tbl.RowCount(); got != 1 {
@@ -74,7 +74,7 @@ func TestEpochReclamationGatesRecycling(t *testing.T) {
 
 	// While the pin is active the horizon cannot pass the retire stamp, so
 	// repeated vacuums must leave the slots in limbo.
-	tbl.Vacuum(m.Horizon(), m.Clock())
+	m.Vacuum()
 	if got := tbl.LimboSlots(); got != dead {
 		t.Fatalf("LimboSlots with pinned snapshot = %d, want %d", got, dead)
 	}
@@ -85,7 +85,7 @@ func TestEpochReclamationGatesRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	bumpClock(t, m, tbl, dead)
-	tbl.Vacuum(m.Horizon(), m.Clock())
+	m.Vacuum()
 	if got := tbl.LimboSlots(); got != 0 {
 		t.Fatalf("LimboSlots after release = %d, want 0", got)
 	}
@@ -252,10 +252,8 @@ func TestEpochReclamationStress(t *testing.T) {
 
 	// Vacuum racing everything, including the watermark computation.
 	start(&aux, func(r *rand.Rand) {
-		g := 0
 		for !stop.Load() {
-			tbl.VacuumSegment(g%tbl.Segments(), m.Horizon(), m.Clock())
-			g++
+			m.Vacuum()
 		}
 	})
 
@@ -264,14 +262,17 @@ func TestEpochReclamationStress(t *testing.T) {
 	aux.Wait()
 
 	// Quiesced drain: after the clock passes the last retire stamp, two
-	// vacuum sweeps (unlink, then reap) must leave no limbo slots and no
-	// dead churn rows beyond the live set.
+	// vacuum passes (unlink, then reap) must leave no limbo slots, no dead
+	// churn rows beyond the live set, and no chain a full sweep could prune.
 	bumpClock(t, m, tbl, epochBumpID)
-	tbl.Vacuum(m.Horizon(), m.Clock())
+	m.Vacuum()
 	bumpClock(t, m, tbl, epochBumpID)
-	tbl.Vacuum(m.Horizon(), m.Clock())
+	m.Vacuum()
 	if got := tbl.LimboSlots(); got != 0 {
 		t.Errorf("LimboSlots after quiesced drain = %d, want 0", got)
+	}
+	if dead, prunable := tbl.Unreclaimed(m.Horizon()); dead != 0 || prunable != 0 {
+		t.Errorf("after the drain a full sweep finds %d dead rows and %d prunable tails", dead, prunable)
 	}
 
 	live := 0

@@ -16,7 +16,8 @@ import (
 // consistent-sum readers, sequential scans, an online vacuum loop, and an
 // AddIndex issued mid-run — the full surface the striped row store and
 // per-index latches must keep coherent. Afterward it checks the money
-// invariant, index/row agreement in both directions, and slot reclamation.
+// invariant, index/row agreement in both directions, and that the
+// write-set-driven vacuum reclaimed every dead row and slot.
 // Run it under -race: that is the point.
 func TestStorageStressConcurrent(t *testing.T) {
 	for _, mode := range []Mode{Locking, MVCC} {
@@ -102,7 +103,7 @@ func stressOneTable(t *testing.T, mode Mode) {
 					continue
 				}
 				if r.Intn(4) == 0 {
-					tx.Abort() // exercise insert rollback (RemoveRow)
+					tx.Abort() // exercise insert rollback
 					continue
 				}
 				if tx.Commit() != nil {
@@ -178,10 +179,8 @@ func stressOneTable(t *testing.T, mode Mode) {
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
-		g := 0
 		for !stop.Load() {
-			tbl.VacuumSegment(g%tbl.Segments(), m.Horizon(), m.Clock())
-			g++
+			m.Vacuum()
 		}
 	}()
 
@@ -221,7 +220,6 @@ func verifyStress(t *testing.T, m *Manager, tbl *storage.Table) {
 	}
 
 	check := m.Begin(true)
-	defer check.Commit()
 	sum, visible := int64(0), 0
 	tbl.ScanAll(func(id storage.RowID, row *storage.Row) bool {
 		data, err := check.Read(tbl, id, false)
@@ -264,10 +262,19 @@ func verifyStress(t *testing.T, m *Manager, tbl *storage.Table) {
 		t.Errorf("secondary index covers %d live rows, want %d", len(found), stressAccounts)
 	}
 
-	// With no active transactions, a full vacuum must reclaim every dead
-	// churn slot.
-	tbl.Vacuum(m.Horizon()+1, m.Clock())
+	check.Commit()
+
+	// With no active transactions, draining the backlog must reclaim every
+	// dead churn slot and prune every chain: a full sweep with the vacuum's
+	// own classification finds nothing left.
+	m.Vacuum()
 	if got := tbl.RowCount(); got != stressAccounts {
 		t.Errorf("RowCount after vacuum = %d, want %d", got, stressAccounts)
+	}
+	if dead, prunable := tbl.Unreclaimed(m.Horizon()); dead != 0 || prunable != 0 {
+		t.Errorf("after the drain a full sweep finds %d dead rows and %d prunable tails", dead, prunable)
+	}
+	if got := m.VacuumBacklog(); got != 0 {
+		t.Errorf("VacuumBacklog after the drain = %d, want 0", got)
 	}
 }

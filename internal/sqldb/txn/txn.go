@@ -62,6 +62,26 @@ type Manager struct {
 	locks    *lockManager  // Locking mode lock table
 	epochs   epochTable    // in-flight MVCC snapshots, for the GC horizon
 
+	// backlog is the reclaim backlog: one entry per row a committed update
+	// or delete touched, appended under commitMu so it stays in commit
+	// timestamp order. Entries before backlogHead are drained. Both are
+	// guarded by commitMu; Vacuum reads the drainable prefix outside it.
+	backlog     []reclaim
+	backlogHead int
+
+	// vacMu serializes Vacuum passes and guards their reused scratch and
+	// limboTables, the tables whose limbo still holds slots.
+	vacMu        sync.Mutex
+	cands        []storage.Candidate
+	vacTables    []*storage.Table
+	limboTables  []*storage.Table
+	vacVisited   atomic.Uint64
+	vacReclaimed atomic.Uint64
+	vacPruned    atomic.Uint64
+
+	// scratch recycles finished transactions' write sets and claim maps.
+	scratch sync.Pool
+
 	// nowait, when set, makes every engine non-blocking: Serial TryBegin
 	// returns ErrBusy instead of queueing on the global lock and the
 	// Locking engine aborts conflicting requests outright instead of
@@ -209,12 +229,16 @@ type Txn struct {
 	committed bool
 	nwrites   int
 	writes    []writeOp
+	// sc is the pooled scratch writes and claimed were taken from, taken at
+	// the first write and handed back by finish.
+	sc *txnScratch
 	// announced records an announcement to Manager.Writers that this
 	// transaction still owns: finish withdraws it.
 	announced bool
 	held      map[lockKey]lockMode
 	// claimed tracks rows already write-claimed under MVCC so repeated
-	// writes to one row within the txn skip the conflict check.
+	// writes to one row within the txn skip the conflict check. Nil until
+	// the first write.
 	claimed map[*storage.Row]bool
 	// slot is the epoch-table slot holding this transaction's snapshot
 	// (MVCC only); -1 when the registration spilled to the overflow map.
@@ -242,7 +266,6 @@ func (m *Manager) Begin(readonly bool) *Txn {
 		t.held = map[lockKey]lockMode{}
 		t.snap = m.clock.Load()
 	case MVCC:
-		t.claimed = map[*storage.Row]bool{}
 		// Pre-register with a conservative snapshot before taking the real
 		// one: a concurrent Horizon() that misses this registration read
 		// the clock before our pre-registration value, so it can never
@@ -466,7 +489,7 @@ func (t *Txn) claim(tbl *storage.Table, id storage.RowID, row *storage.Row) erro
 	case v.End() == storage.Infinity:
 		v.SetEnd(myMark)
 		t.record(writeOp{kind: opClaim, table: tbl, rowID: id, row: row, oldV: v})
-		t.claimed[row] = true
+		t.claimed[row] = true // record made the map
 		return nil
 	case storage.Uncommitted(v.End()):
 		if storage.MarkOwner(v.End()) == t.id {
@@ -501,7 +524,7 @@ func (t *Txn) Insert(tbl *storage.Table, data []sqlval.Value) error {
 		}
 	}
 	t.record(writeOp{kind: opInsert, table: tbl, rowID: id, row: row, newV: row.Latest(), disp: disp})
-	if t.claimed != nil {
+	if t.mgr.mode == MVCC {
 		t.claimed[row] = true
 	}
 	return nil
@@ -565,7 +588,7 @@ func (t *Txn) Update(tbl *storage.Table, id storage.RowID, newData []sqlval.Valu
 		return fmt.Errorf("txn: update unique violation: %v: %w", err, ErrWriteConflict)
 	}
 	t.record(writeOp{kind: opUpdate, table: tbl, rowID: id, row: row, newV: newV, oldV: old})
-	if t.claimed != nil {
+	if t.mgr.mode == MVCC {
 		t.claimed[row] = true
 	}
 	return nil
@@ -610,18 +633,61 @@ func (t *Txn) Delete(tbl *storage.Table, id storage.RowID) error {
 	return nil
 }
 
-// record appends op to the write set. The first entry makes the
-// transaction a writer, which it announces to Manager.Writers.
+// txnScratch is a write set and MVCC claim map that outlive their
+// transaction: finish empties them and hands them back to Manager.scratch,
+// so the next writer appends into grown capacity instead of re-growing it.
+type txnScratch struct {
+	writes  []writeOp
+	claimed map[*storage.Row]bool
+}
+
+// maxPooledWrites bounds the write set (and claim map) a finished
+// transaction returns to the pool; a bulk load's scratch goes to the GC.
+const maxPooledWrites = 1024
+
+// record appends op to the write set. The first entry takes the pooled
+// scratch and makes the transaction a writer, which it announces to
+// Manager.Writers.
 func (t *Txn) record(op writeOp) {
-	if len(t.writes) == 0 && t.mgr.Writers != nil {
-		t.mgr.Writers.Announce()
-		t.announced = true
+	if len(t.writes) == 0 {
+		t.takeScratch()
+		if t.mgr.Writers != nil {
+			t.mgr.Writers.Announce()
+			t.announced = true
+		}
 	}
 	t.writes = append(t.writes, op)
 }
 
-// HasWrites reports whether the transaction has written anything.
-func (t *Txn) HasWrites() bool { return len(t.writes) > 0 }
+// takeScratch attaches a pooled (or fresh) write set and, under MVCC, claim
+// map to the transaction.
+func (t *Txn) takeScratch() {
+	sc, _ := t.mgr.scratch.Get().(*txnScratch)
+	if sc == nil {
+		sc = &txnScratch{}
+	}
+	if t.mgr.mode == MVCC && sc.claimed == nil {
+		sc.claimed = make(map[*storage.Row]bool)
+	}
+	t.sc = sc
+	t.writes = sc.writes[:0]
+	t.claimed = sc.claimed
+}
+
+// releaseScratch empties the transaction's write set and claim map and
+// returns them to the pool, unless a large transaction grew them past
+// maxPooledWrites. Nothing reads them after finish: Info uses nwrites.
+func (t *Txn) releaseScratch() {
+	sc := t.sc
+	t.sc = nil
+	if sc == nil || cap(t.writes) > maxPooledWrites || len(t.claimed) > maxPooledWrites {
+		return
+	}
+	clear(t.writes) // drop the row and version pointers
+	sc.writes = t.writes[:0]
+	clear(sc.claimed)
+	t.mgr.scratch.Put(sc)
+}
 
 // Commit makes the transaction's writes durable and visible.
 func (t *Txn) Commit() error {
@@ -665,6 +731,11 @@ func (t *Txn) Commit() error {
 				}
 			}
 			op.row.Unlock()
+			if op.kind != opInsert {
+				// A superseded tail or a dead row: vacuum's work once
+				// the horizon reaches ts.
+				m.backlog = append(m.backlog, reclaim{table: op.table, cand: storage.Candidate{ID: op.rowID, Row: op.row}, ts: ts})
+			}
 		}
 		for i := range t.writes {
 			op := &t.writes[i]
@@ -755,6 +826,7 @@ func (t *Txn) finish() {
 		t.announced = false
 	}
 	t.nwrites = len(t.writes)
+	t.releaseScratch()
 	t.writes = nil
 	t.claimed = nil
 	t.done = true

@@ -528,7 +528,7 @@ func TestVacuumReclaimsDeletedRows(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	reclaimed := tbl.Vacuum(m.Horizon()+1, m.Clock())
+	reclaimed := m.Vacuum()
 	if reclaimed != 50 {
 		t.Fatalf("reclaimed %d, want 50", reclaimed)
 	}
@@ -707,7 +707,7 @@ func TestInsertRollbackRestoresDisplacedPrimaryEntry(t *testing.T) {
 
 			// Once nothing can see the dead row, vacuum reclaims both the
 			// restored entry and the slot.
-			tbl.Vacuum(m.Horizon()+1, m.Clock())
+			m.Vacuum()
 			if _, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(1)}); ok {
 				t.Fatal("vacuum left the dead row's primary entry behind")
 			}

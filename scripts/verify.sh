@@ -104,10 +104,14 @@ echo "==> go test -race storage stress (striped store + online vacuum; group-com
 # seal a complete batch must return to exactly zero, and never dip below it,
 # under wait-die deaths, write conflicts, claims-only transactions,
 # rollbacks and DDL on the RAM and disk engines.
-go test -race -count=1 -run 'TestStorageStressConcurrent|TestWriterCountBalances' ./internal/sqldb/txn/ ./internal/sqldb/
+# TestVacuumBacklogComplete: the vacuum visits only the rows commits updated
+# or deleted, so after churn on golock, gomvcc, goserial and disk golock a
+# drain must leave no row a full sweep could still reclaim or prune, and
+# every table's limbo must empty once the horizon passes it.
+go test -race -count=1 -run 'TestStorageStressConcurrent|TestWriterCountBalances|TestVacuumBacklogComplete' ./internal/sqldb/txn/ ./internal/sqldb/
 
-echo "==> allocation smoke (prepared point read: objects; prepared 100-row scan: bytes)"
-go test -count=1 -run 'TestPreparedPointReadAllocSmoke|TestPreparedRangeScanAllocSmoke' -v ./internal/sqldb/ | grep -E 'allocs/op|B/op|PASS|FAIL'
+echo "==> allocation smoke (prepared point read: objects; prepared 100-row scan: bytes; writing transaction: objects)"
+go test -count=1 -run 'TestPreparedPointReadAllocSmoke|TestPreparedRangeScanAllocSmoke|TestWritingTxnAllocSmoke' -v ./internal/sqldb/ | grep -E 'allocs/op|B/op|PASS|FAIL'
 
 echo "==> bench smoke (bench/run.sh --smoke: the one benchmark, end to end)"
 # Tiny scales, one measured second, quarter rates: every workload runs
