@@ -357,20 +357,31 @@ func (ds *diskStore) rebuild(res *heap.RecoveryResult) error {
 		if !ok {
 			return fmt.Errorf("row at page %d slot %d references unknown table %d", rid.page, rid.slot, tid)
 		}
-		vals, err := heap.DecodeRow(body)
+		// The page bytes are the version's record as they stand: validate
+		// them, and that they fit the table, then install them as is.
+		image, err := heap.ParseRecord(body)
+		if err == nil {
+			if n, _ := image.NumCols(); n != len(dt.tbl.Meta.Columns) {
+				err = fmt.Errorf("%d columns for table %q of %d", n, dt.tbl.Meta.Name, len(dt.tbl.Meta.Columns))
+			}
+		}
 		if err != nil {
 			return fmt.Errorf("row at page %d slot %d: %w", rid.page, rid.slot, err)
 		}
-		id, row, _, err := dt.tbl.Insert(0, vals)
+		id, row, _, err := dt.tbl.Insert(0, image)
 		if err != nil {
 			return fmt.Errorf("reinstall row at page %d slot %d: %w", rid.page, rid.slot, err)
 		}
 		// Clock starts at 1; make the recovered version visible to all.
-		row.Latest().SetBegin(1)
+		v := row.Latest()
+		v.SetBegin(1)
 		dt.rids[id] = rid
 		for ci, col := range dt.tbl.Meta.Columns {
-			if col.AutoInc && ci < len(vals) && !vals[ci].IsNull() {
-				dt.tbl.BumpAutoInc(vals[ci].Int())
+			if !col.AutoInc {
+				continue
+			}
+			if cv := v.Col(ci); !cv.IsNull() {
+				dt.tbl.BumpAutoInc(cv.Int())
 			}
 		}
 	}
@@ -655,7 +666,7 @@ func (ds *diskStore) sequence(txnID uint64, writes []txn.WriteRec) (*applyTicket
 		}
 		switch w.Kind {
 		case txn.WriteInsert:
-			rec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
+			rec := encodeHeapRec(dt.id, w.Data)
 			rid, err := ds.place(len(rec))
 			if err != nil {
 				return nil, err
@@ -667,8 +678,8 @@ func (ds *diskStore) sequence(txnID uint64, writes []txn.WriteRec) (*applyTicket
 			if !ok {
 				return nil, fmt.Errorf("sqldb: update of unmapped row %d in %q", w.RowID, w.Table)
 			}
-			oldRec := encodeHeapRec(dt.id, heap.EncodeRow(w.Old))
-			newRec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
+			oldRec := encodeHeapRec(dt.id, w.Old)
+			newRec := encodeHeapRec(dt.id, w.Data)
 			uops, newRid, err := ds.planUpdate(rid, oldRec, newRec)
 			if err != nil {
 				return nil, err
@@ -680,7 +691,7 @@ func (ds *diskStore) sequence(txnID uint64, writes []txn.WriteRec) (*applyTicket
 			if !ok {
 				return nil, fmt.Errorf("sqldb: delete of unmapped row %d in %q", w.RowID, w.Table)
 			}
-			rec := encodeHeapRec(dt.id, heap.EncodeRow(w.Data))
+			rec := encodeHeapRec(dt.id, w.Data)
 			ops = append(ops, diskOp{rid: rid, before: rec})
 			ds.alloc[ds.allocIdx[rid.page]].free += len(rec)
 			delete(dt.rids, w.RowID)
@@ -842,8 +853,9 @@ func (ds *diskStore) close() {
 	}
 }
 
-// encodeHeapRec frames one row image with its table id.
-func encodeHeapRec(tableID uint32, body []byte) []byte {
+// encodeHeapRec frames one row image (a version's record) or catalog body
+// with its table id.
+func encodeHeapRec[B heap.Record | []byte](tableID uint32, body B) []byte {
 	rec := make([]byte, 4+len(body))
 	binary.LittleEndian.PutUint32(rec, tableID)
 	copy(rec[4:], body)

@@ -107,6 +107,13 @@ type selectExec struct {
 	// Result.Rows, but the unconsumed remainder is still exclusively ours,
 	// because every carve is capacity-capped and starts past the last one.
 	arena []sqlval.Value
+	// ids and vers are an UPDATE/DELETE's matched rows and their visible
+	// versions (collectMatches); img is the new image an UPDATE builds,
+	// handed to txn.Update, which encodes it and keeps nothing. All three
+	// are statement scratch, reused across executions.
+	ids  []storage.RowID
+	vers []*storage.Version
+	img  []sqlval.Value
 }
 
 // allocRow carves an n-value row out of the arena chunk. The three-index cap
@@ -133,6 +140,12 @@ func (p *selectPlan) getExec(params []sqlval.Value) *selectExec {
 func (p *selectPlan) putExec(se *selectExec) {
 	se.env.Params = nil
 	se.env.AggVals = nil
+	// Decoded values alias row records: drop them so pooled state pins
+	// no superseded image.
+	clear(se.env.Vals)
+	clear(se.vers)
+	clear(se.img)
+	se.ids, se.vers, se.img = se.ids[:0], se.vers[:0], se.img[:0]
 	// rows escapes as Result.Rows and the rest hold caller-visible or
 	// query-sized data; drop them rather than reuse.
 	se.rows = nil
@@ -604,7 +617,7 @@ func (p *selectPlan) scan(tx *txn.Txn, se *selectExec, li int) error {
 	view, fast := tx.FastReadView()
 	fast = fast && !p.forUpdate
 	process := func(e storage.IndexEntry, vk verifyKind, row *storage.Row) bool {
-		var data []sqlval.Value
+		var v *storage.Version
 		if fast {
 			if row == nil {
 				var ok bool
@@ -612,27 +625,27 @@ func (p *selectPlan) scan(tx *txn.Txn, se *selectExec, li int) error {
 					return true
 				}
 			}
-			v := view.Visible(row)
-			if v == nil {
+			if v = view.Visible(row); v == nil {
 				return true
 			}
-			data = v.Data
 		} else {
 			var err error
-			if data, err = tx.Read(lv.tbl, e.ID, p.forUpdate); err != nil {
+			if v, err = tx.Read(lv.tbl, e.ID, p.forUpdate); err != nil {
 				scanErr = err
 				return false
 			}
-			if data == nil {
+			if v == nil {
 				return true
 			}
 		}
+		// Decode straight into this level's slots; the capped slice keeps
+		// the decode from spilling into the next level's.
+		data := v.DecodeInto(env.Vals[lv.offset : lv.offset : lv.offset+lv.ncols])
 		if !entryMatches(lv, e, vk, data) {
 			// Stale index entry: the visible image no longer carries the
 			// entry's key (an update moved the row within the index).
 			return true
 		}
-		copy(env.Vals[lv.offset:lv.offset+lv.ncols], data)
 		if lv.onFilter != nil {
 			v, err := lv.onFilter(env)
 			if err != nil {
@@ -923,12 +936,13 @@ type insertPlan struct {
 	pool sync.Pool  // *insertScratch
 }
 
-// insertScratch holds the per-execution state an INSERT can reuse. The row
-// data slice itself is NOT here: storage retains it inside the new Version
-// (Version.Data is immutable), so it must be freshly allocated per row.
+// insertScratch holds the per-execution state an INSERT can reuse, the new
+// row's image included: txn.Insert encodes it into the version's record and
+// keeps nothing.
 type insertScratch struct {
 	env      Env
 	provided []bool
+	data     []sqlval.Value
 }
 
 func compileInsert(ins *parser.Insert, r Resolver) (*insertPlan, error) {
@@ -981,14 +995,17 @@ func (p *insertPlan) Execute(tx *txn.Txn, params []sqlval.Value) (*Result, error
 	env.Params = params
 	if cap(st.provided) < len(meta.Columns) {
 		st.provided = make([]bool, len(meta.Columns))
+		st.data = make([]sqlval.Value, len(meta.Columns))
 	}
 	defer func() {
 		env.Params = nil
+		clear(st.data)
 		p.pool.Put(st)
 	}()
 	res := &Result{}
 	for _, fns := range p.rows {
-		data := make([]sqlval.Value, len(meta.Columns))
+		data := st.data[:len(meta.Columns)]
+		clear(data)
 		provided := st.provided[:len(meta.Columns)]
 		for i := range provided {
 			provided[i] = false
@@ -1094,20 +1111,17 @@ func (p *updatePlan) Execute(tx *txn.Txn, params []sqlval.Value) (*Result, error
 	se := p.scan.getExec(params)
 	defer p.scan.putExec(se)
 	env := &se.env
-	// The SET loop points env.Vals at version-owned images; restore the
-	// env's own buffer before pooling so a later reset cannot zero
-	// storage-owned memory in place.
-	saved := env.Vals
-	defer func() { env.Vals = saved }()
-	ids, images, err := collectMatches(p.scan, tx, env)
-	if err != nil {
+	if err := collectMatches(se, tx); err != nil {
 		return nil, err
 	}
 	meta := p.tbl.Meta
 	res := &Result{}
-	for i, id := range ids {
-		env.Vals = images[i]
-		newData := append([]sqlval.Value(nil), images[i]...)
+	for i, id := range se.ids {
+		// SET expressions see the old image in env.Vals; the new one is
+		// built beside it in se.img.
+		env.Vals = se.vers[i].DecodeInto(env.Vals)
+		se.img = append(se.img[:0], env.Vals...)
+		newData := se.img
 		for _, set := range p.sets {
 			v, err := set.fn(env)
 			if err != nil {
@@ -1137,27 +1151,26 @@ func (p *updatePlan) Execute(tx *txn.Txn, params []sqlval.Value) (*Result, error
 }
 
 // collectMatches runs the scan of an UPDATE/DELETE plan and materializes the
-// matching row ids and images before any mutation, so the write phase never
-// runs concurrently with its own index scan. env must come from a
-// scan.getExec state.
-func collectMatches(scan *selectPlan, tx *txn.Txn, env *Env) ([]storage.RowID, [][]sqlval.Value, error) {
-	var ids []storage.RowID
-	var images [][]sqlval.Value
-	lv := &scan.levels[0]
+// matching row ids and versions into se.ids and se.vers before any mutation, so
+// the write phase never runs concurrently with its own index scan. se must
+// come from the plan's scan.getExec.
+func collectMatches(se *selectExec, tx *txn.Txn) error {
+	env := &se.env
+	lv := &se.p.levels[0]
 	var innerErr error
 	process := func(e storage.IndexEntry, vk verifyKind, _ *storage.Row) bool {
-		data, err := tx.Read(lv.tbl, e.ID, true)
+		v, err := tx.Read(lv.tbl, e.ID, true)
 		if err != nil {
 			innerErr = err
 			return false
 		}
-		if data == nil {
+		if v == nil {
 			return true
 		}
+		data := v.DecodeInto(env.Vals[:0:lv.ncols])
 		if !entryMatches(lv, e, vk, data) {
 			return true
 		}
-		copy(env.Vals, data)
 		if lv.filter != nil {
 			v, err := lv.filter(env)
 			if err != nil {
@@ -1168,19 +1181,16 @@ func collectMatches(scan *selectPlan, tx *txn.Txn, env *Env) ([]storage.RowID, [
 				return true
 			}
 		}
-		ids = append(ids, e.ID)
-		// data is the claimed version's image; Version.Data is immutable
-		// and the row is locked FOR UPDATE, so no defensive copy is needed.
-		images = append(images, data)
+		// The version's record is immutable and the row is locked FOR
+		// UPDATE, so the version itself is the image to keep.
+		se.ids = append(se.ids, e.ID)
+		se.vers = append(se.vers, v)
 		return true
 	}
 	if err := scanAccess(lv, env, &env.scratch[0], false, process); err != nil {
-		return nil, nil, err
+		return err
 	}
-	if innerErr != nil {
-		return nil, nil, innerErr
-	}
-	return ids, images, nil
+	return innerErr
 }
 
 // ---------------------------------------------------------------- DELETE
@@ -1200,13 +1210,12 @@ func compileDelete(del *parser.Delete, r Resolver) (*deletePlan, error) {
 
 func (p *deletePlan) Execute(tx *txn.Txn, params []sqlval.Value) (*Result, error) {
 	se := p.scan.getExec(params)
-	ids, _, err := collectMatches(p.scan, tx, &se.env)
-	p.scan.putExec(se)
-	if err != nil {
+	defer p.scan.putExec(se)
+	if err := collectMatches(se, tx); err != nil {
 		return nil, err
 	}
 	res := &Result{}
-	for _, id := range ids {
+	for _, id := range se.ids {
 		if err := tx.Delete(p.tbl, id); err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 
 	"benchpress/internal/sqldb/catalog"
 	"benchpress/internal/sqldb/storage"
+	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqlval"
 )
 
@@ -29,7 +30,7 @@ func rangeTable(t *testing.T, n, groupSize int) *storage.Table {
 	}
 	tbl := storage.NewTable(meta)
 	for i := 0; i < n; i++ {
-		_, row, _, err := tbl.Insert(1, []sqlval.Value{sqlval.NewInt(int64(i)), sqlval.NewInt(int64(i / groupSize))})
+		_, row, _, err := tbl.Insert(1, heap.EncodeRecord([]sqlval.Value{sqlval.NewInt(int64(i)), sqlval.NewInt(int64(i / groupSize))}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func TestScanRangeUnderChurn(t *testing.T) {
 	}
 	tbl := storage.NewTable(meta)
 	for i := 0; i < stable; i++ {
-		_, row, _, err := tbl.Insert(1, []sqlval.Value{sqlval.NewInt(int64(2 * i)), sqlval.NewInt(int64(i % 3))})
+		_, row, _, err := tbl.Insert(1, heap.EncodeRecord([]sqlval.Value{sqlval.NewInt(int64(2 * i)), sqlval.NewInt(int64(i % 3))}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,12 +187,12 @@ func TestScanRangeUnderChurn(t *testing.T) {
 			r := rand.New(rand.NewSource(src))
 			for !stop.Load() {
 				id := int64(2*r.Intn(stable) + 1)
-				data := []sqlval.Value{sqlval.NewInt(id), sqlval.NewInt(int64(r.Intn(3)))}
-				rid, _, disp, err := tbl.Insert(uint64(100+w), data)
+				data := heap.EncodeRecord([]sqlval.Value{sqlval.NewInt(id), sqlval.NewInt(int64(r.Intn(3)))})
+				rid, row, disp, err := tbl.Insert(uint64(100+w), data)
 				if err != nil {
 					continue // the other worker holds this key right now
 				}
-				tbl.RollbackInsert(rid, data, disp)
+				tbl.RollbackInsert(rid, row.Latest(), disp)
 			}
 		}(w)
 	}
@@ -215,7 +216,7 @@ func TestScanRangeUnderChurn(t *testing.T) {
 						t.Fatalf("access %d desc=%v: key %v follows %v", lv.access.kind, desc, e.Key, got[j-1].Key)
 					}
 				}
-				if row, ok := tbl.Row(e.ID); ok && row.Latest().Data[0].Int()%2 == 0 {
+				if row, ok := tbl.Row(e.ID); ok && row.Latest().Col(0).Int()%2 == 0 {
 					stableSeen++
 				}
 			}

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqldb/txn"
+	"benchpress/internal/sqlval"
 )
 
 // benchEngine builds an engine with a seeded table for the hot-path
@@ -235,17 +237,7 @@ func TestPreparedRangeScanAllocSmoke(t *testing.T) {
 	const rows, cols = 100, 11
 	e := Open(Config{Mode: txn.MVCC})
 	s := e.Session()
-	ddl := "CREATE TABLE usertable (ycsb_key INT NOT NULL"
-	ins := "INSERT INTO usertable (ycsb_key"
-	for f := 1; f < cols; f++ {
-		ddl += fmt.Sprintf(", field%d VARCHAR(100)", f)
-		ins += fmt.Sprintf(", field%d", f)
-	}
-	ddl += ", PRIMARY KEY (ycsb_key))"
-	ins += ") VALUES (?" + strings.Repeat(", ?", cols-1) + ")"
-	if _, err := s.Exec(ddl); err != nil {
-		t.Fatal(err)
-	}
+	ins := ycsbTable(t, s)
 	args := make([]any, cols)
 	for k := 0; k < 4*rows; k++ {
 		args[0] = k
@@ -284,5 +276,78 @@ func TestPreparedRangeScanAllocSmoke(t *testing.T) {
 	}
 	if testing.Verbose() {
 		fmt.Printf("prepared range scan: %.0f B/op (budget %.0f)\n", perOp, budget)
+	}
+}
+
+// ycsbTable creates an 11-column YCSB usertable (an INT key and ten
+// VARCHAR(100) fields) and returns its INSERT statement text.
+func ycsbTable(t *testing.T, s *Session) string {
+	t.Helper()
+	const cols = 11
+	ddl := "CREATE TABLE usertable (ycsb_key INT NOT NULL"
+	ins := "INSERT INTO usertable (ycsb_key"
+	for f := 1; f < cols; f++ {
+		ddl += fmt.Sprintf(", field%d VARCHAR(100)", f)
+		ins += fmt.Sprintf(", field%d", f)
+	}
+	if _, err := s.Exec(ddl + ", PRIMARY KEY (ycsb_key))"); err != nil {
+		t.Fatal(err)
+	}
+	return ins + ") VALUES (?" + strings.Repeat(", ?", cols-1) + ")"
+}
+
+// TestRowImageOneAlloc pins the row representation: a YCSB-shaped row image
+// (an INT key and ten 75-byte fields, the mean of YCSB's 50..100-byte
+// strings) is one pointer-free record, built in exactly one allocation that
+// Go's 896-byte size class holds, and reading it back into a reused buffer
+// allocates nothing — text decodes as substrings of the record.
+func TestRowImageOneAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	const sizeClass = 896
+	e := Open(Config{Mode: txn.MVCC})
+	s := e.Session()
+	args := []any{7}
+	for f := 1; f < 11; f++ {
+		args = append(args, strings.Repeat(string(rune('a'+f)), 75))
+	}
+	if _, err := s.Exec(ycsbTable(t, s), args...); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.StorageTable("usertable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(7)})
+	if !ok {
+		t.Fatal("inserted row not found")
+	}
+	row, _ := tbl.Row(id)
+	v := row.Latest()
+	if n := len(v.Record()); n > sizeClass {
+		t.Fatalf("YCSB-shaped record is %d B, over the %d-B size class", n, sizeClass)
+	}
+
+	vals := v.DecodeInto(nil)
+	if got := testing.AllocsPerRun(100, func() { _ = heap.EncodeRecord(vals) }); got != 1 {
+		t.Fatalf("encoding a row image takes %.1f allocations, want 1", got)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		_ = heap.EncodeRecord(vals)
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > sizeClass {
+		t.Fatalf("a row image allocates %d B, want at most %d", perOp, sizeClass)
+	}
+	scratch := make([]sqlval.Value, 0, len(vals))
+	if got := testing.AllocsPerRun(100, func() { scratch = v.DecodeInto(scratch) }); got != 0 {
+		t.Fatalf("decoding a row image into scratch takes %.1f allocations, want 0", got)
+	}
+	if testing.Verbose() {
+		fmt.Printf("row image: %d B record, 1 allocation\n", len(v.Record()))
 	}
 }

@@ -1,12 +1,22 @@
 // Package storage implements the in-memory row store of the embedded engine.
 //
-// Every table row is a chain of immutable versions (newest first). A version
-// carries begin/end timestamps in the Hekaton style: values below txnMark are
-// commit timestamps; values with the high bit set identify the uncommitted
-// transaction that produced (begin) or superseded (end) the version. This one
-// representation serves all three concurrency-control engines — MVCC readers
-// pick versions by snapshot timestamp, locking and serial engines read the
-// newest committed (or self-written) version.
+// Every table row is a chain of immutable versions (newest first). A
+// version's image is one heap.Record — the row codec's bytes held in a
+// string, a single pointer-free allocation the garbage collector never scans.
+// Readers decode it into their own scratch (Version.DecodeInto) or read one
+// column (Version.Col); decoded text aliases the record. The aliasing rule:
+// nothing the engine retains may hold a substring of a record, or it would
+// keep the whole superseded image alive — index keys, which are decoded from
+// records, have their text cloned when a tree stores them (insertEntry).
+// Result rows handed to callers may alias records: records never change and
+// the garbage collector bounds their lifetime.
+//
+// A version carries begin/end timestamps in the Hekaton style: values below
+// txnMark are commit timestamps; values with the high bit set identify the
+// uncommitted transaction that produced (begin) or superseded (end) the
+// version. This one representation serves all three concurrency-control
+// engines — MVCC readers pick versions by snapshot timestamp, locking and
+// serial engines read the newest committed (or self-written) version.
 //
 // Index entries are maintained eagerly on write and point at row ids; readers
 // always re-validate fetched versions against both visibility and the query
@@ -49,6 +59,7 @@ import (
 
 	"benchpress/internal/btree"
 	"benchpress/internal/sqldb/catalog"
+	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqlval"
 )
 
@@ -74,26 +85,49 @@ func MarkOwner(ts uint64) uint64 { return ts &^ (TxnMark | DeleteFlag) }
 // RowID identifies a row slot within one table.
 type RowID = int64
 
-// Version is one version of a row. Data is immutable; the Begin/End
+// Version is one version of a row. The record is immutable; the Begin/End
 // timestamps and the chain pointer are atomics so that readers may traverse
 // chains without latches while writers (who hold the row latch for mutual
 // exclusion among themselves) stamp commit timestamps.
 type Version struct {
-	Data  []sqlval.Value
+	rec   heap.Record
 	begin atomic.Uint64 // commit ts, or TxnMark|txnID while the writer is in flight
 	end   atomic.Uint64 // Infinity, commit ts of the deleter, or a txn mark
 	next  atomic.Pointer[Version]
 }
 
-// NewVersion builds a version with the given stamps and chain successor.
-func NewVersion(data []sqlval.Value, begin, end uint64, next *Version) *Version {
-	v := &Version{Data: data}
+// NewVersion builds a version with the given stamps and chain successor. rec
+// must be valid: built by heap.EncodeRecord, or checked by heap.ParseRecord.
+func NewVersion(rec heap.Record, begin, end uint64, next *Version) *Version {
+	v := &Version{rec: rec}
 	v.begin.Store(begin)
 	v.end.Store(end)
 	if next != nil {
 		v.next.Store(next)
 	}
 	return v
+}
+
+// Record returns the version's image in the row codec's layout.
+func (v *Version) Record() heap.Record { return v.rec }
+
+// Col decodes column i of the image; text aliases the record.
+func (v *Version) Col(i int) sqlval.Value {
+	val, err := v.rec.Col(i)
+	if err != nil {
+		panic(fmt.Sprintf("storage: version record: %v", err))
+	}
+	return val
+}
+
+// DecodeInto decodes the image into dst[:0] (growing it only when its
+// capacity is short) and returns the filled slice; text aliases the record.
+func (v *Version) DecodeInto(dst []sqlval.Value) []sqlval.Value {
+	vals, err := v.rec.DecodeInto(dst)
+	if err != nil {
+		panic(fmt.Sprintf("storage: version record: %v", err))
+	}
+	return vals
 }
 
 // Begin returns the begin timestamp or mark.
@@ -264,9 +298,9 @@ func (t *Table) AddIndex(idx *catalog.Index) {
 		if v == nil {
 			return true
 		}
-		key := indexKey(idx, v.Data, id)
+		key := indexKey(idx, v, id)
 		sec.tree.Lock()
-		sec.tree.Insert(key, id)
+		insertEntry(&sec.tree.Tree, key, id)
 		sec.tree.Unlock()
 		return true
 	})
@@ -285,19 +319,20 @@ func (t *Table) BumpAutoInc(v int64) {
 	}
 }
 
-// pkKey extracts the primary-key composite from a row image.
-func (t *Table) pkKey(data []sqlval.Value) []sqlval.Value {
+// pkKey extracts the primary-key composite from a row image. Its text
+// aliases the record.
+func (t *Table) pkKey(v *Version) []sqlval.Value {
 	key := make([]sqlval.Value, len(t.Meta.PKCols))
 	for i, c := range t.Meta.PKCols {
-		key[i] = data[c]
+		key[i] = v.Col(c)
 	}
 	return key
 }
 
 // samePK reports whether two images of a row carry the same primary key.
-func (t *Table) samePK(a, b []sqlval.Value) bool {
+func (t *Table) samePK(a, b *Version) bool {
 	for _, c := range t.Meta.PKCols {
-		if sqlval.Compare(a[c], b[c]) != 0 {
+		if sqlval.Compare(a.Col(c), b.Col(c)) != 0 {
 			return false
 		}
 	}
@@ -305,13 +340,25 @@ func (t *Table) samePK(a, b []sqlval.Value) bool {
 }
 
 // indexKey builds a physical secondary-index key: the indexed columns plus
-// the row id to keep physical keys unique.
-func indexKey(idx *catalog.Index, data []sqlval.Value, id RowID) []sqlval.Value {
+// the row id to keep physical keys unique. Its text aliases the record.
+func indexKey(idx *catalog.Index, v *Version, id RowID) []sqlval.Value {
 	key := make([]sqlval.Value, 0, len(idx.Columns)+1)
 	for _, c := range idx.Columns {
-		key = append(key, data[c])
+		key = append(key, v.Col(c))
 	}
 	return append(key, sqlval.NewInt(id))
+}
+
+// insertEntry stores key -> id in tree, whose latch the caller holds
+// exclusively. Keys are decoded from records, and a stored key aliasing one
+// would keep the whole record alive for as long as the entry (or a separator
+// sharing its backing array) lives, so a key the tree stores anew has its
+// text cloned in place — before the latch is released, so no reader has seen
+// it yet. A key already present keeps its stored, already private, copy.
+func insertEntry(tree *btree.Tree, key []sqlval.Value, id RowID) {
+	if tree.Insert(key, id) {
+		sqlval.CloneStrings(key)
+	}
 }
 
 // ErrDuplicateKey is returned when an insert violates the primary key or a
@@ -351,8 +398,17 @@ func (t *Table) primaryConflict(key []sqlval.Value, self RowID) bool {
 		return false
 	}
 	r, live := t.Row(existing)
-	return live && liveOrPending(r) &&
-		sqlval.CompareRows(t.pkKey(r.Latest().Data), key) == 0
+	return live && liveOrPending(r) && t.carriesPK(r.Latest(), key)
+}
+
+// carriesPK reports whether image v carries primary key key.
+func (t *Table) carriesPK(v *Version, key []sqlval.Value) bool {
+	for i, c := range t.Meta.PKCols {
+		if sqlval.Compare(v.Col(c), key[i]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // secondaryConflict reports whether a unique secondary index already holds a
@@ -360,10 +416,10 @@ func (t *Table) primaryConflict(key []sqlval.Value, self RowID) bool {
 // An index entry only blocks the insert when the row it points at is live
 // (or pending) AND its newest image still holds the conflicting key: stale
 // entries left behind by updates of indexed columns are ignored.
-func (t *Table) secondaryConflict(sec secondaryIndex, data []sqlval.Value, self RowID) bool {
+func (t *Table) secondaryConflict(sec secondaryIndex, v *Version, self RowID) bool {
 	prefix := make([]sqlval.Value, 0, len(sec.meta.Columns))
 	for _, c := range sec.meta.Columns {
-		prefix = append(prefix, data[c])
+		prefix = append(prefix, v.Col(c))
 	}
 	dup := false
 	sec.tree.AscendPrefix(prefix, func(_ []sqlval.Value, id int64) bool {
@@ -374,9 +430,9 @@ func (t *Table) secondaryConflict(sec secondaryIndex, data []sqlval.Value, self 
 		if !ok || !liveOrPending(r) {
 			return true
 		}
-		latest := r.Latest().Data
+		latest := r.Latest()
 		for ci, c := range sec.meta.Columns {
-			if sqlval.Compare(latest[c], prefix[ci]) != 0 {
+			if sqlval.Compare(latest.Col(c), prefix[ci]) != 0 {
 				return true // stale entry: the row moved off this key
 			}
 		}
@@ -396,10 +452,10 @@ type Displaced struct {
 	HadPrev bool
 }
 
-// Insert creates a new row whose single version is marked uncommitted by
-// txnID. It installs all index entries. The returned RowID identifies the
-// slot; on unique violation an ErrDuplicateKey is returned and nothing
-// observable is left behind. The returned Displaced must be handed back to
+// Insert creates a new row whose single version, image rec, is marked
+// uncommitted by txnID. It installs all index entries. The returned RowID
+// identifies the slot; on unique violation an ErrDuplicateKey is returned
+// and nothing observable is left behind. The returned Displaced must be handed back to
 // RollbackInsert if the transaction aborts.
 //
 // The slot is installed before any index work: the version's uncommitted
@@ -408,15 +464,16 @@ type Displaced struct {
 // uniqueness check and the matching entry insert happen under one continuous
 // hold of that index's latch, so two racing inserts of the same key always
 // serialize there; no operation holds two index latches at once.
-func (t *Table) Insert(txnID uint64, data []sqlval.Value) (RowID, *Row, Displaced, error) {
+func (t *Table) Insert(txnID uint64, rec heap.Record) (RowID, *Row, Displaced, error) {
 	row := &Row{}
-	row.SetLatest(NewVersion(data, TxnMark|txnID, Infinity, nil))
+	v := NewVersion(rec, TxnMark|txnID, Infinity, nil)
+	row.SetLatest(v)
 	id := t.installRow(row)
 	secs := t.secondaryList()
 
 	var disp Displaced
 	if t.primary != nil {
-		key := t.pkKey(data)
+		key := t.pkKey(v)
 		t.primary.Lock()
 		if t.primaryConflict(key, id) {
 			t.primary.Unlock()
@@ -426,21 +483,21 @@ func (t *Table) Insert(txnID uint64, data []sqlval.Value) (RowID, *Row, Displace
 		if prev, ok := t.primary.Get(key); ok && prev != id {
 			disp = Displaced{Prev: prev, HadPrev: true}
 		}
-		t.primary.Insert(key, id)
+		insertEntry(&t.primary.Tree, key, id)
 		t.primary.Unlock()
 	}
 	for ord := range secs {
 		sec := secs[ord]
-		key := indexKey(sec.meta, data, id)
+		key := indexKey(sec.meta, v, id)
 		sec.tree.Lock()
-		if sec.meta.Unique && t.secondaryConflict(sec, data, id) {
+		if sec.meta.Unique && t.secondaryConflict(sec, v, id) {
 			sec.tree.Unlock()
 			// Roll back the entries installed so far (the rollback
 			// tolerates the ones never installed) and release the slot.
-			t.RollbackInsert(id, data, disp)
+			t.RollbackInsert(id, v, disp)
 			return 0, nil, Displaced{}, &ErrDuplicateKey{Table: t.Meta.Name, Index: sec.meta.Name}
 		}
-		sec.tree.Insert(key, id)
+		insertEntry(&sec.tree.Tree, key, id)
 		sec.tree.Unlock()
 	}
 	return id, row, disp, nil
@@ -449,9 +506,9 @@ func (t *Table) Insert(txnID uint64, data []sqlval.Value) (RowID, *Row, Displace
 // removeSecondaryEntries deletes one version image's secondary entries.
 // Secondary keys carry the row id, so an entry can never be claimed by
 // another row and an unconditional delete is safe.
-func (t *Table) removeSecondaryEntries(id RowID, data []sqlval.Value) {
+func (t *Table) removeSecondaryEntries(id RowID, v *Version) {
 	for _, sec := range t.secondaryList() {
-		key := indexKey(sec.meta, data, id)
+		key := indexKey(sec.meta, v, id)
 		sec.tree.Lock()
 		sec.tree.Delete(key)
 		sec.tree.Unlock()
@@ -466,9 +523,9 @@ func (t *Table) removeSecondaryEntries(id RowID, data []sqlval.Value) {
 // right after the check; the restored entry then dangles, which the
 // package's read discipline tolerates — readers re-validate fetched rows
 // against the entry key, and the next insert of the key overwrites it.
-func (t *Table) RollbackInsert(id RowID, data []sqlval.Value, disp Displaced) {
+func (t *Table) RollbackInsert(id RowID, v *Version, disp Displaced) {
 	if t.primary != nil {
-		key := t.pkKey(data)
+		key := t.pkKey(v)
 		t.primary.Lock()
 		// Only touch the entry if it still points at this row: a
 		// concurrent re-insert of the same key may have replaced it.
@@ -476,7 +533,7 @@ func (t *Table) RollbackInsert(id RowID, data []sqlval.Value, disp Displaced) {
 			restored := false
 			if disp.HadPrev {
 				if r, ok := t.Row(disp.Prev); ok {
-					if v := r.Latest(); v != nil && sqlval.CompareRows(t.pkKey(v.Data), key) == 0 {
+					if prev := r.Latest(); prev != nil && t.carriesPK(prev, key) {
 						t.primary.Insert(key, disp.Prev)
 						restored = true
 					}
@@ -488,7 +545,7 @@ func (t *Table) RollbackInsert(id RowID, data []sqlval.Value, disp Displaced) {
 		}
 		t.primary.Unlock()
 	}
-	t.removeSecondaryEntries(id, data)
+	t.removeSecondaryEntries(id, v)
 	if row, ok := t.Row(id); ok {
 		t.freeRow(id, row)
 	}
@@ -496,7 +553,7 @@ func (t *Table) RollbackInsert(id RowID, data []sqlval.Value, disp Displaced) {
 
 // AddVersionIndexEntries installs index entries for a new version image
 // produced by an update (the row id is unchanged; only changed keys need new
-// entries, and unchanged composites are idempotent inserts). oldData is the
+// entries, and unchanged composites are idempotent inserts). old is the
 // image being replaced: a unique secondary whose key changed is checked
 // before its entry is installed, so an update cannot move a row onto a key
 // held by another live or pending row — the check-and-insert happens under
@@ -508,26 +565,26 @@ func (t *Table) RollbackInsert(id RowID, data []sqlval.Value, disp Displaced) {
 // comment's write-path invariant. An update that keeps the primary key
 // leaves the primary index alone: the old image's entry already maps the
 // key to this row, and no insert can take the key of a live row.
-func (t *Table) AddVersionIndexEntries(id RowID, oldData, data []sqlval.Value) error {
-	if t.primary != nil && !t.samePK(oldData, data) {
-		key := t.pkKey(data)
+func (t *Table) AddVersionIndexEntries(id RowID, old, v *Version) error {
+	if t.primary != nil && !t.samePK(old, v) {
+		key := t.pkKey(v)
 		t.primary.Lock()
-		t.primary.Insert(key, id)
+		insertEntry(&t.primary.Tree, key, id)
 		t.primary.Unlock()
 	}
 	secs := t.secondaryList()
 	for ord := range secs {
 		sec := secs[ord]
-		key := indexKey(sec.meta, data, id)
+		key := indexKey(sec.meta, v, id)
 		sec.tree.Lock()
 		if sec.meta.Unique &&
-			sqlval.CompareRows(indexKey(sec.meta, oldData, id), key) != 0 &&
-			t.secondaryConflict(sec, data, id) {
+			sqlval.CompareRows(indexKey(sec.meta, old, id), key) != 0 &&
+			t.secondaryConflict(sec, v, id) {
 			sec.tree.Unlock()
-			t.unwindVersionEntries(id, oldData, data, ord)
+			t.unwindVersionEntries(id, old, v, ord)
 			return &ErrDuplicateKey{Table: t.Meta.Name, Index: sec.meta.Name}
 		}
-		sec.tree.Insert(key, id)
+		insertEntry(&sec.tree.Tree, key, id)
 		sec.tree.Unlock()
 	}
 	return nil
@@ -536,9 +593,9 @@ func (t *Table) AddVersionIndexEntries(id RowID, oldData, data []sqlval.Value) e
 // unwindVersionEntries removes the entries AddVersionIndexEntries installed
 // for the new image before failing at secondary ordinal stop — only those
 // not shared with the old image, which must keep its entries.
-func (t *Table) unwindVersionEntries(id RowID, oldData, data []sqlval.Value, stop int) {
+func (t *Table) unwindVersionEntries(id RowID, old, v *Version, stop int) {
 	if t.primary != nil {
-		newKey, oldKey := t.pkKey(data), t.pkKey(oldData)
+		newKey, oldKey := t.pkKey(v), t.pkKey(old)
 		if sqlval.CompareRows(newKey, oldKey) != 0 {
 			t.primary.Lock()
 			if cur, ok := t.primary.Get(newKey); ok && cur == id {
@@ -550,8 +607,8 @@ func (t *Table) unwindVersionEntries(id RowID, oldData, data []sqlval.Value, sto
 	secs := t.secondaryList()
 	for ord := 0; ord < stop && ord < len(secs); ord++ {
 		sec := secs[ord]
-		newKey := indexKey(sec.meta, data, id)
-		if sqlval.CompareRows(indexKey(sec.meta, oldData, id), newKey) == 0 {
+		newKey := indexKey(sec.meta, v, id)
+		if sqlval.CompareRows(indexKey(sec.meta, old, id), newKey) == 0 {
 			continue
 		}
 		sec.tree.Lock()
@@ -563,9 +620,9 @@ func (t *Table) unwindVersionEntries(id RowID, oldData, data []sqlval.Value, sto
 // RemoveVersionIndexEntries removes entries that belong exclusively to the
 // given version image (used on rollback of an update whose keys changed, with
 // keep holding the image whose entries must survive).
-func (t *Table) RemoveVersionIndexEntries(id RowID, data, keep []sqlval.Value) {
-	if t.primary != nil && !t.samePK(data, keep) {
-		oldKey := t.pkKey(data)
+func (t *Table) RemoveVersionIndexEntries(id RowID, v, keep *Version) {
+	if t.primary != nil && !t.samePK(v, keep) {
+		oldKey := t.pkKey(v)
 		t.primary.Lock()
 		if cur, ok := t.primary.Get(oldKey); ok && cur == id {
 			t.primary.Delete(oldKey)
@@ -573,7 +630,7 @@ func (t *Table) RemoveVersionIndexEntries(id RowID, data, keep []sqlval.Value) {
 		t.primary.Unlock()
 	}
 	for _, sec := range t.secondaryList() {
-		oldKey := indexKey(sec.meta, data, id)
+		oldKey := indexKey(sec.meta, v, id)
 		keepKey := indexKey(sec.meta, keep, id)
 		if sqlval.CompareRows(oldKey, keepKey) != 0 {
 			sec.tree.Lock()

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"benchpress/internal/sqldb/catalog"
+	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqlval"
 )
 
@@ -27,8 +28,8 @@ func newTable(t *testing.T, pk bool) *Table {
 	return NewTable(meta)
 }
 
-func mkRow(id, grp int64, name string) []sqlval.Value {
-	return []sqlval.Value{sqlval.NewInt(id), sqlval.NewInt(grp), sqlval.NewString(name)}
+func mkRow(id, grp int64, name string) heap.Record {
+	return heap.EncodeRecord([]sqlval.Value{sqlval.NewInt(id), sqlval.NewInt(grp), sqlval.NewString(name)})
 }
 
 func commitVersion(r *Row, ts uint64) {
@@ -163,7 +164,7 @@ func TestVisibilitySnapshot(t *testing.T) {
 		if v == nil {
 			return ""
 		}
-		return v.Data[2].Str()
+		return v.Col(2).Str()
 	}
 	if got := see(4); got != "" {
 		t.Fatalf("snap=4 sees %q, want nothing", got)
@@ -188,14 +189,14 @@ func TestVisibilityUncommitted(t *testing.T) {
 	// Txn 7 sees its own new version in both modes.
 	for _, snapshot := range []bool{true, false} {
 		v := View{TxnID: 7, SnapTS: 5, Snapshot: snapshot}.Visible(r)
-		if v == nil || v.Data[2].Str() != "new" {
+		if v == nil || v.Col(2).Str() != "new" {
 			t.Fatalf("snapshot=%v: writer does not see own write", snapshot)
 		}
 	}
 	// Txn 9 sees the old committed version in both modes.
 	for _, snapshot := range []bool{true, false} {
 		v := View{TxnID: 9, SnapTS: 5, Snapshot: snapshot}.Visible(r)
-		if v == nil || v.Data[2].Str() != "old" {
+		if v == nil || v.Col(2).Str() != "old" {
 			t.Fatalf("snapshot=%v: reader does not see committed version", snapshot)
 		}
 	}
@@ -271,7 +272,7 @@ func TestPrimaryScanProperty(t *testing.T) {
 		ok := true
 		tbl.ScanPrimaryRange(nil, nil, false, func(e IndexEntry) bool {
 			r, _ := tbl.Row(e.ID)
-			key := r.Latest().Data[0].Int()
+			key := r.Latest().Col(0).Int()
 			if key <= prev {
 				ok = false
 				return false

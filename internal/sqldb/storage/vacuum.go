@@ -139,7 +139,7 @@ func (t *Table) Reclaim(cands []Candidate, horizon, now uint64) VacuumStats {
 		t.primary.Lock()
 		for _, c := range dead {
 			for img := c.Row.Latest(); img != nil; img = img.Next() {
-				key := t.pkKey(img.Data)
+				key := t.pkKey(img)
 				if cur, ok := t.primary.Get(key); ok && cur == c.ID {
 					t.primary.Delete(key)
 				}
@@ -151,7 +151,7 @@ func (t *Table) Reclaim(cands []Candidate, horizon, now uint64) VacuumStats {
 		sec.tree.Lock()
 		for _, c := range dead {
 			for img := c.Row.Latest(); img != nil; img = img.Next() {
-				sec.tree.Delete(indexKey(sec.meta, img.Data, c.ID))
+				sec.tree.Delete(indexKey(sec.meta, img, c.ID))
 			}
 		}
 		sec.tree.Unlock()

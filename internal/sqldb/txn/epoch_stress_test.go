@@ -23,7 +23,7 @@ func bumpClock(t *testing.T, m *Manager, tbl *storage.Table, id int64) {
 	if err != nil || data == nil {
 		t.Fatalf("bump row %d unreadable: %v", id, err)
 	}
-	if err := tx.Update(tbl, rid, row(id, data[1].Int()+1)); err != nil {
+	if err := tx.Update(tbl, rid, row(id, data.Col(1).Int()+1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -138,11 +138,11 @@ func TestEpochReclamationStress(t *testing.T) {
 		}()
 	}
 
-	checkTag := func(data []sqlval.Value) {
+	checkTag := func(data *storage.Version) {
 		if data == nil {
 			return
 		}
-		key, tag := data[0].Int(), data[1].Int()
+		key, tag := data.Col(0).Int(), data.Col(1).Int()
 		if key == epochBumpID {
 			return
 		}
@@ -194,12 +194,12 @@ func TestEpochReclamationStress(t *testing.T) {
 					if err != nil {
 						break
 					}
-					if data != nil && sqlval.Compare(data[0], sqlval.NewInt(key)) != 0 {
+					if data != nil && sqlval.Compare(data.Col(0), sqlval.NewInt(key)) != 0 {
 						// A stale index entry must be filtered by the key
 						// check, never surfaced: this is the read
 						// discipline the reclamation scheme preserves.
-						if tbl.VerifyPrimary(storage.IndexEntry{Key: []sqlval.Value{sqlval.NewInt(key)}, ID: rid}, data) {
-							t.Errorf("primary entry for key %d verified against row with key %v", key, data[0])
+						if tbl.VerifyPrimary(storage.IndexEntry{Key: []sqlval.Value{sqlval.NewInt(key)}, ID: rid}, data.DecodeInto(nil)) {
+							t.Errorf("primary entry for key %d verified against row with key %v", key, data.Col(0))
 						}
 						continue
 					}
@@ -227,7 +227,7 @@ func TestEpochReclamationStress(t *testing.T) {
 					cursor = tbl.ScanBatch(g, cursor, &b)
 					for i := 0; i < b.N; i++ {
 						if v := view.Visible(b.Rows[i]); v != nil {
-							checkTag(v.Data)
+							checkTag(v)
 						}
 					}
 				}

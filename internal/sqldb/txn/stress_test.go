@@ -139,7 +139,7 @@ func stressOneTable(t *testing.T, mode Mode) {
 					complete = false
 					break
 				}
-				sum += data[1].Int()
+				sum += data.Col(1).Int()
 			}
 			if complete && sum != stressTotal {
 				t.Errorf("inconsistent sum %d, want %d", sum, stressTotal)
@@ -158,15 +158,15 @@ func stressOneTable(t *testing.T, mode Mode) {
 				if err != nil || data == nil {
 					return true // invisible or lost a wait-die race
 				}
-				pk := []sqlval.Value{data[0]}
+				pk := []sqlval.Value{data.Col(0)}
 				rid, ok := tbl.PrimaryLookup(pk)
 				if !ok {
-					t.Errorf("visible row %d (pk %v) missing from primary index", id, data[0])
+					t.Errorf("visible row %d (pk %v) missing from primary index", id, data.Col(0))
 					return false
 				}
 				got, err := tx.Read(tbl, rid, false)
-				if err == nil && got != nil && sqlval.Compare(got[0], data[0]) != 0 {
-					t.Errorf("primary index maps pk %v to row with pk %v", data[0], got[0])
+				if err == nil && got != nil && sqlval.Compare(got.Col(0), data.Col(0)) != 0 {
+					t.Errorf("primary index maps pk %v to row with pk %v", data.Col(0), got.Col(0))
 					return false
 				}
 				return true
@@ -230,11 +230,11 @@ func verifyStress(t *testing.T, m *Manager, tbl *storage.Table) {
 			return true
 		}
 		visible++
-		sum += data[1].Int()
+		sum += data.Col(1).Int()
 		// Row → primary index.
-		rid, ok := tbl.PrimaryLookup([]sqlval.Value{data[0]})
+		rid, ok := tbl.PrimaryLookup([]sqlval.Value{data.Col(0)})
 		if !ok || rid != id {
-			t.Errorf("row %d (pk %v) not canonical in primary index (got %d, %v)", id, data[0], rid, ok)
+			t.Errorf("row %d (pk %v) not canonical in primary index (got %d, %v)", id, data.Col(0), rid, ok)
 		}
 		return true
 	})
@@ -253,7 +253,7 @@ func verifyStress(t *testing.T, m *Manager, tbl *storage.Table) {
 		if err != nil || data == nil {
 			return true
 		}
-		if tbl.VerifySecondary(0, e, data) {
+		if tbl.VerifySecondary(0, e, data.DecodeInto(nil)) {
 			found[e.ID] = true
 		}
 		return true

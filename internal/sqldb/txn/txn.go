@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"benchpress/internal/sqldb/storage"
+	"benchpress/internal/sqldb/storage/heap"
 	"benchpress/internal/sqlval"
 )
 
@@ -354,16 +355,16 @@ const (
 
 // WriteRec is one materialized write-set entry, exposed to durability hooks
 // (WAL payload encoders). Data is the new image for inserts and updates and
-// the deleted image for deletes; Old is the replaced image for updates (nil
-// for inserts and deletes). Both alias engine memory and must not be mutated
-// or retained past the hook. RowID identifies the row so disk-resident
-// engines can address its heap slot.
+// the deleted image for deletes; Old is the replaced image for updates (empty
+// for inserts and deletes). Both are the versions' own records, in the heap
+// row codec's layout, so a disk engine logs them without re-encoding. RowID
+// identifies the row so disk-resident engines can address its heap slot.
 type WriteRec struct {
 	Table string
 	Kind  WriteKind
 	RowID storage.RowID
-	Data  []sqlval.Value
-	Old   []sqlval.Value
+	Data  heap.Record
+	Old   heap.Record
 }
 
 // WriteSet materializes the transaction's logical writes in program order,
@@ -374,11 +375,11 @@ func (t *Txn) WriteSet() []WriteRec {
 		op := &t.writes[i]
 		switch op.kind {
 		case opInsert:
-			out = append(out, WriteRec{Table: op.table.Meta.Name, Kind: WriteInsert, RowID: op.rowID, Data: op.newV.Data})
+			out = append(out, WriteRec{Table: op.table.Meta.Name, Kind: WriteInsert, RowID: op.rowID, Data: op.newV.Record()})
 		case opUpdate:
-			out = append(out, WriteRec{Table: op.table.Meta.Name, Kind: WriteUpdate, RowID: op.rowID, Data: op.newV.Data, Old: op.oldV.Data})
+			out = append(out, WriteRec{Table: op.table.Meta.Name, Kind: WriteUpdate, RowID: op.rowID, Data: op.newV.Record(), Old: op.oldV.Record()})
 		case opDelete:
-			out = append(out, WriteRec{Table: op.table.Meta.Name, Kind: WriteDelete, RowID: op.rowID, Data: op.oldV.Data})
+			out = append(out, WriteRec{Table: op.table.Meta.Name, Kind: WriteDelete, RowID: op.rowID, Data: op.oldV.Record()})
 		}
 	}
 	return out
@@ -406,11 +407,12 @@ func (t *Txn) FastReadView() (storage.View, bool) {
 	return t.view(), true
 }
 
-// Read returns the row image visible to this transaction, or nil when the
-// row is invisible. With forUpdate set, the row is locked (Locking) or
-// write-claimed (MVCC) first, so the returned image remains stable until the
-// transaction finishes.
-func (t *Txn) Read(tbl *storage.Table, id storage.RowID, forUpdate bool) ([]sqlval.Value, error) {
+// Read returns the row version visible to this transaction, or nil when the
+// row is invisible; callers decode its image into their own scratch
+// (storage.Version.DecodeInto). With forUpdate set, the row is locked
+// (Locking) or write-claimed (MVCC) first, so the returned version remains
+// the visible one until the transaction finishes.
+func (t *Txn) Read(tbl *storage.Table, id storage.RowID, forUpdate bool) (*storage.Version, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
@@ -439,11 +441,7 @@ func (t *Txn) Read(tbl *storage.Table, id storage.RowID, forUpdate bool) ([]sqlv
 			}
 		}
 	}
-	v := t.view().Visible(row)
-	if v == nil {
-		return nil, nil
-	}
-	return v.Data, nil
+	return t.view().Visible(row), nil
 }
 
 // lock acquires a row lock under the Locking engine, recording it for
@@ -506,32 +504,36 @@ func (t *Txn) claim(tbl *storage.Table, id storage.RowID, row *storage.Row) erro
 	}
 }
 
-// Insert adds a new row. The unique checks and index maintenance happen in
-// the storage layer; the version is stamped at commit.
+// Insert adds a new row with image data, which is encoded into the version's
+// record and not retained: callers may reuse it. The unique checks and index
+// maintenance happen in the storage layer; the version is stamped at commit.
 func (t *Txn) Insert(tbl *storage.Table, data []sqlval.Value) error {
 	if t.done {
 		return ErrTxnDone
 	}
-	id, row, disp, err := tbl.Insert(t.id, data)
+	id, row, disp, err := tbl.Insert(t.id, heap.EncodeRecord(data))
 	if err != nil {
 		return err
 	}
+	newV := row.Latest()
 	if t.mgr.mode == Locking {
 		if err := t.lock(tbl, id, lockExclusive); err != nil {
 			// Cannot conflict in practice (fresh row), but stay safe.
-			tbl.RollbackInsert(id, data, disp)
+			tbl.RollbackInsert(id, newV, disp)
 			return err
 		}
 	}
-	t.record(writeOp{kind: opInsert, table: tbl, rowID: id, row: row, newV: row.Latest(), disp: disp})
+	t.record(writeOp{kind: opInsert, table: tbl, rowID: id, row: row, newV: newV, disp: disp})
 	if t.mgr.mode == MVCC {
 		t.claimed[row] = true
 	}
 	return nil
 }
 
-// Update replaces the visible image of a row with newData. The caller must
-// have established visibility (normally via Read during the scan).
+// Update replaces the visible image of a row with newData, which is encoded
+// into the new version's record and not retained: callers may reuse it. The
+// caller must have established visibility (normally via Read during the
+// scan).
 func (t *Txn) Update(tbl *storage.Table, id storage.RowID, newData []sqlval.Value) error {
 	if t.done {
 		return ErrTxnDone
@@ -550,6 +552,7 @@ func (t *Txn) Update(tbl *storage.Table, id storage.RowID, newData []sqlval.Valu
 			return err
 		}
 	}
+	rec := heap.EncodeRecord(newData)
 	myMark := storage.TxnMark | t.id
 	row.Lock()
 	old := row.Latest()
@@ -570,10 +573,10 @@ func (t *Txn) Update(tbl *storage.Table, id storage.RowID, newData []sqlval.Valu
 		row.Unlock()
 		return ErrWriteConflict
 	}
-	newV := storage.NewVersion(newData, myMark, storage.Infinity, old)
+	newV := storage.NewVersion(rec, myMark, storage.Infinity, old)
 	row.SetLatest(newV)
 	row.Unlock()
-	if err := tbl.AddVersionIndexEntries(id, old.Data, newData); err != nil {
+	if err := tbl.AddVersionIndexEntries(id, old, newV); err != nil {
 		// Unique violation: the new image never becomes visible. Unwind
 		// the chain head and the old version's end mark, then surface the
 		// race as a retryable conflict — the loser re-reads committed
@@ -776,7 +779,7 @@ func (t *Txn) Abort() {
 		op := t.writes[i]
 		switch op.kind {
 		case opInsert:
-			op.table.RollbackInsert(op.rowID, op.newV.Data, op.disp)
+			op.table.RollbackInsert(op.rowID, op.newV, op.disp)
 		case opUpdate:
 			op.row.Lock()
 			if op.row.Latest() == op.newV {
@@ -787,7 +790,7 @@ func (t *Txn) Abort() {
 			}
 			op.row.Unlock()
 			if op.oldV != nil {
-				op.table.RemoveVersionIndexEntries(op.rowID, op.newV.Data, op.oldV.Data)
+				op.table.RemoveVersionIndexEntries(op.rowID, op.newV, op.oldV)
 			}
 		case opDelete:
 			op.row.Lock()

@@ -57,7 +57,7 @@ func readBalance(t *testing.T, m *Manager, tbl *storage.Table, id int64) (int64,
 	if data == nil {
 		return 0, false
 	}
-	return data[1].Int(), true
+	return data.Col(1).Int(), true
 }
 
 func allModes() []Mode { return []Mode{Serial, Locking, MVCC} }
@@ -217,7 +217,7 @@ func TestReadOwnWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			data, err := tx.Read(tbl, rid, false)
-			if err != nil || data == nil || data[1].Int() != 42 {
+			if err != nil || data == nil || data.Col(1).Int() != 42 {
 				t.Fatalf("own write invisible: %v %v", data, err)
 			}
 			tx.Abort()
@@ -244,8 +244,8 @@ func TestMVCCSnapshotIsolation(t *testing.T) {
 	if err != nil || data == nil {
 		t.Fatalf("read: %v %v", data, err)
 	}
-	if data[1].Int() != 100 {
-		t.Fatalf("snapshot read = %d, want 100", data[1].Int())
+	if data.Col(1).Int() != 100 {
+		t.Fatalf("snapshot read = %d, want 100", data.Col(1).Int())
 	}
 	reader.Commit()
 	if bal, _ := readBalance(t, m, tbl, 0); bal != 500 {
@@ -323,8 +323,8 @@ func TestMVCCClaimThenUpdateCommit(t *testing.T) {
 	if head.End() != storage.Infinity {
 		t.Fatalf("head.End = %x, want Infinity", head.End())
 	}
-	if head.Data[1].Int() != 321 {
-		t.Fatalf("head value = %d", head.Data[1].Int())
+	if head.Col(1).Int() != 321 {
+		t.Fatalf("head value = %d", head.Col(1).Int())
 	}
 }
 
@@ -466,7 +466,7 @@ func TestConcurrentTransfersInvariant(t *testing.T) {
 					return false
 				}
 				if data != nil {
-					total += data[1].Int()
+					total += data.Col(1).Int()
 				}
 				return true
 			})
@@ -501,7 +501,7 @@ func transfer(m *Manager, tbl *storage.Table, from, to, amount int64) bool {
 			if id == from {
 				delta = -amount
 			}
-			if err := tx.Update(tbl, rid, row(id, data[1].Int()+delta)); err != nil {
+			if err := tx.Update(tbl, rid, row(id, data.Col(1).Int()+delta)); err != nil {
 				return false
 			}
 		}
@@ -635,7 +635,7 @@ func TestUpdateRespectsUniqueIndex(t *testing.T) {
 			if err != nil || data == nil {
 				t.Fatalf("row 2 unreadable after failed update: %v", err)
 			}
-			if got := data[1].Int(); got != 300 {
+			if got := data.Col(1).Int(); got != 300 {
 				t.Fatalf("row 2 balance = %d, want 300", got)
 			}
 			check.Commit()
@@ -699,7 +699,7 @@ func TestInsertRollbackRestoresDisplacedPrimaryEntry(t *testing.T) {
 				if err != nil || data == nil {
 					t.Fatalf("pre-delete snapshot lost the row: data=%v err=%v", data, err)
 				}
-				if got := data[1].Int(); got != 5 {
+				if got := data.Col(1).Int(); got != 5 {
 					t.Fatalf("pre-delete snapshot reads balance %d, want 5", got)
 				}
 				old.Commit()

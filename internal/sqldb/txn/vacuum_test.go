@@ -104,5 +104,5 @@ func readBalanceAt(tx *Txn, tbl *storage.Table, id int64) (int64, bool) {
 	if err != nil || data == nil {
 		return 0, false
 	}
-	return data[1].Int(), true
+	return data.Col(1).Int(), true
 }

@@ -1,13 +1,17 @@
 package sqldb
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"benchpress/internal/sqldb/storage"
 	"benchpress/internal/sqldb/txn"
+	"benchpress/internal/sqlval"
 )
 
 // TestVacuumBacklogComplete proves the write-set-driven vacuum misses
@@ -196,4 +200,70 @@ func checkVacuumComplete(t *testing.T, e *Engine) {
 			t.Errorf("%s: %d slots still in limbo after the horizon passed", name, n)
 		}
 	}
+}
+
+// TestIndexKeysDoNotPinRecords checks the aliasing rule of record storage:
+// index keys are decoded from row records, and a stored key that still
+// aliased its record would keep that whole image alive after vacuum has
+// dropped its version. Each of 100 rows with a text-indexed column and a
+// 4 KiB pad takes 1 000 updates to a non-indexed column, with vacuum passes
+// in between; once vacuum has pruned every chain, the live heap may have
+// grown by less than two records per row — one live image each plus its
+// slot, version and index entries. A key pinning the row's first image
+// would make that two records per row and more.
+func TestIndexKeysDoNotPinRecords(t *testing.T) {
+	const rows, updates = 100, 1000
+	e := Open(Config{Name: "retention", Mode: txn.MVCC})
+	defer e.Close()
+	s := e.Session()
+	mustExec(t, s, `CREATE TABLE ret (id INT NOT NULL, name VARCHAR(32) NOT NULL, n INT NOT NULL, pad VARCHAR(4096), PRIMARY KEY (id))`)
+	mustExec(t, s, `CREATE INDEX ret_name ON ret (name)`)
+	ins, err := s.Prepare("INSERT INTO ret (id, name, n, pad) VALUES (?, ?, ?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := s.Prepare("UPDATE ret SET n = ? WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapLive := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // a second cycle empties the sync.Pool victim caches
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	base := heapLive()
+	for i := 0; i < rows; i++ {
+		if _, err := ins.Exec(i, fmt.Sprintf("name-%03d", i), 0, strings.Repeat(string(rune('a'+i%26)), 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := 1; u <= updates; u++ {
+		for i := 0; i < rows; i++ {
+			if _, err := upd.Exec(u, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Vacuum()
+	}
+	e.Vacuum()
+	tbl, err := e.StorageTable("ret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dead, prunable := tbl.Unreclaimed(e.TxnManager().Horizon()); dead != 0 || prunable != 0 {
+		t.Fatalf("vacuum left %d dead and %d prunable rows", dead, prunable)
+	}
+	id, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	row, _ := tbl.Row(id)
+	record := uint64(len(row.Latest().Record()))
+	growth := int64(heapLive() - base)
+	t.Logf("heap growth %d B for %d rows: %.2f records of %d B per row", growth, rows, float64(growth)/float64(rows*record), record)
+	if limit := int64(2 * rows * record); growth > limit {
+		t.Fatalf("heap grew %d B for %d rows of %d-B records, limit %d: superseded records are still reachable", growth, rows, record, limit)
+	}
+	runtime.KeepAlive(ins)
+	runtime.KeepAlive(upd)
 }

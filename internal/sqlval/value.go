@@ -118,6 +118,10 @@ func NewTime(v time.Time) Value {
 	return Value{kind: KindTime, i: v.UnixNano()}
 }
 
+// NewTimeNanos returns the timestamp ns nanoseconds after the Unix epoch.
+// Every int64 names a representable instant, so nothing saturates.
+func NewTimeNanos(ns int64) Value { return Value{kind: KindTime, i: ns} }
+
 // checkedTime is NewTime for instants arriving from outside the engine: one
 // that is not representable is an error rather than a saturated value.
 func checkedTime(t time.Time) (Value, error) {
@@ -398,6 +402,38 @@ func CompareRows(a, b []Value) int {
 		}
 	}
 	return cmpInt(int64(len(a)), int64(len(b)))
+}
+
+// CloneStrings re-points every text value in vals at a private copy of its
+// bytes — one allocation for all of them, none when there is no text — so
+// that vals no longer shares memory with whatever it was built from. The
+// storage layer applies it to index keys decoded from row records: a key
+// holding a substring of a record would keep the whole record alive.
+func CloneStrings(vals []Value) {
+	n := 0
+	for i := range vals {
+		if vals[i].kind == KindString {
+			n += len(vals[i].s)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i := range vals {
+		if vals[i].kind == KindString {
+			b.WriteString(vals[i].s)
+		}
+	}
+	all, off := b.String(), 0
+	for i := range vals {
+		if vals[i].kind == KindString {
+			end := off + len(vals[i].s)
+			vals[i].s = all[off:end]
+			off = end
+		}
+	}
 }
 
 // EncodeKey renders a composite key into a compact string usable as a Go map

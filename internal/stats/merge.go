@@ -56,7 +56,10 @@ func (c *Collector) Cumulative() Delta {
 
 // Since returns what d holds beyond prev, an earlier Cumulative read of the
 // same collector (the zero Delta before the first). Types that did not move
-// are left out.
+// are left out. Moving means any of count, sum or maximum: a record adds its
+// bucket count before its sum and maximum, so a Cumulative read in between
+// sees the count without the rest, and the next Since must still carry the
+// late sum and maximum — the baseline has already moved past them.
 func (d Delta) Since(prev Delta) Delta {
 	out := Delta{
 		Committed: d.Committed - prev.Committed,
@@ -71,7 +74,8 @@ func (d Delta) Since(prev Delta) Delta {
 		}
 		lat, n := t.Lat.Since(p.Lat)
 		resp, nr := t.Resp.Since(p.Resp)
-		if n != 0 || nr != 0 {
+		if n != 0 || nr != 0 || lat.SumUS != 0 || resp.SumUS != 0 ||
+			t.Lat.MaxUS != p.Lat.MaxUS || t.Resp.MaxUS != p.Resp.MaxUS {
 			out.Types = append(out.Types, TypeDelta{Index: t.Index, Lat: lat, Resp: resp})
 		}
 	}

@@ -170,6 +170,41 @@ func TestMergeDeltaEqualsDirectRecording(t *testing.T) {
 	}
 }
 
+// TestSinceKeepsLateSumAndMax pins the torn-read case of the cumulative
+// stream: latHist.record adds a bucket count before the sum and maximum, so a
+// Cumulative read can land between them. The next read then shows the same
+// counts with a larger sum and maximum, and Since must carry that movement —
+// dropping the type would lose it for good, because the baseline advances.
+func TestSinceKeepsLateSumAndMax(t *testing.T) {
+	torn := HistSnapshot{}
+	recordInto(&torn, 100)
+	recordInto(&torn, 300)
+	// The second record's count landed, its sum and maximum not yet.
+	torn.SumUS, torn.MaxUS = 100, 100
+	full := HistSnapshot{}
+	recordInto(&full, 100)
+	recordInto(&full, 300)
+	resp := HistSnapshot{Counts: make([]int64, NumBuckets)}
+	prev := Delta{Committed: 2, Types: []TypeDelta{{Index: 0, Lat: torn, Resp: resp}}}
+	next := Delta{Committed: 2, Types: []TypeDelta{{Index: 0, Lat: full, Resp: resp}}}
+
+	d := next.Since(prev)
+	if len(d.Types) != 1 {
+		t.Fatalf("Since dropped the type whose sum and maximum moved: %+v", d)
+	}
+	if got := d.Types[0].Lat; got.SumUS != 300 || got.MaxUS != 300 {
+		t.Fatalf("late increments: sum %d max %d, want 300 and 300", got.SumUS, got.MaxUS)
+	}
+
+	// Merged in stream order, the two deltas add up to the full history.
+	c := NewCollector([]string{"x"})
+	c.Merge(prev.Since(Delta{}))
+	c.Merge(d)
+	if got := c.Cumulative().Types[0].Lat; got.SumUS != full.SumUS || got.MaxUS != full.MaxUS {
+		t.Fatalf("merged sum %d max %d, want %d and %d", got.SumUS, got.MaxUS, full.SumUS, full.MaxUS)
+	}
+}
+
 // TestMergeConcurrent merges from several goroutines while one records and
 // one reads windows: no outcome is lost, double-counted or torn (run under
 // -race).

@@ -583,9 +583,16 @@ func (l *Log) flusher() {
 	}
 }
 
-// flushNow seals the current generation and completes it synchronously.
+// flushNow seals the current generation and completes it synchronously. A
+// periodic tick with nothing buffered does nothing: in SyncAsync nobody
+// waits on the open generation, so sealing it would only allocate its
+// successor and count a deadline seal.
 func (l *Log) flushNow(reason sealReason) {
 	l.mu.Lock()
+	if reason == sealDeadline && len(l.buf) == 0 {
+		l.mu.Unlock()
+		return
+	}
 	g := l.gen
 	l.sealLocked(reason)
 	l.mu.Unlock()

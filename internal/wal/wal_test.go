@@ -104,6 +104,36 @@ func TestSyncAsyncDoesNotBlock(t *testing.T) {
 	}
 }
 
+// TestSyncAsyncSkipsEmptyTicks: the periodic flusher seals only when
+// something is buffered. An idle log held for many intervals seals and
+// writes nothing; one append is sealed and written exactly once, and the
+// idle ticks after it stay free.
+func TestSyncAsyncSkipsEmptyTicks(t *testing.T) {
+	const interval = time.Millisecond
+	l := New(Options{Policy: SyncAsync, GroupInterval: interval})
+	defer l.Close()
+	time.Sleep(15 * interval)
+	if d, f := l.DeadlineSeals(), l.Flushes(); d != 0 || f != 0 {
+		t.Fatalf("idle log: %d deadline seals, %d flushes; want 0 and 0", d, f)
+	}
+	if err := appendCommit(l, 1); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); l.Flushes() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the flusher never wrote the buffered record")
+		}
+		time.Sleep(interval)
+	}
+	time.Sleep(15 * interval)
+	if d, f := l.DeadlineSeals(), l.Flushes(); d != 1 || f != 1 {
+		t.Fatalf("after one append: %d deadline seals, %d flushes; want 1 and 1", d, f)
+	}
+	if l.Bytes() != uint64(commitFrameSize) {
+		t.Fatalf("bytes = %d, want %d", l.Bytes(), commitFrameSize)
+	}
+}
+
 func TestDoubleCloseSafe(t *testing.T) {
 	l := New(Options{Policy: SyncGroup})
 	l.Close()
