@@ -6,6 +6,7 @@ package common
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"time"
@@ -80,14 +81,32 @@ func LString(rng *rand.Rand, lo, hi int) string {
 	return randString(rng, lo, hi, letters)
 }
 
+// randString draws a length in [lo, hi], then each character uniformly from
+// alphabet. Characters come from one rng.Uint64 at a time, cut into chunks
+// of the alphabet's bit width (6 bits for alphanumerics: ten characters per
+// draw); a chunk at or past len(alphabet) is skipped, which keeps every
+// character exactly uniform.
 func randString(rng *rand.Rand, lo, hi int, alphabet string) string {
 	n := lo
 	if hi > lo {
 		n = lo + rng.Intn(hi-lo+1)
 	}
+	width := uint(bits.Len(uint(len(alphabet) - 1)))
+	mask := uint64(1)<<width - 1
+	var word uint64
+	var left uint // unused bits in word
 	b := make([]byte, n)
-	for i := range b {
-		b[i] = alphabet[rng.Intn(len(alphabet))]
+	for i := 0; i < n; {
+		if left < width {
+			word, left = rng.Uint64(), 64
+		}
+		c := word & mask
+		word >>= width
+		left -= width
+		if c < uint64(len(alphabet)) {
+			b[i] = alphabet[c]
+			i++
+		}
 	}
 	return string(b)
 }

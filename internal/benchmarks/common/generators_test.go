@@ -89,6 +89,51 @@ func TestStringGenerators(t *testing.T) {
 	if txt := Text(rng, 20); len(txt) == 0 {
 		t.Fatal("empty text")
 	}
+
+	// Exact uniformity per alphabet: a chi-square over 200 000 characters
+	// stays under the 0.1% critical value for its degrees of freedom (a
+	// modulo instead of the rejection of out-of-range chunks fails it).
+	gens := []struct {
+		name     string
+		gen      func(*rand.Rand, int, int) string
+		alphabet string
+		crit     float64 // chi-square, p = 0.001, len(alphabet)-1 df
+	}{
+		{"AString", AString, alphanum, 100.9},
+		{"LString", LString, letters, 52.62},
+		{"NString", NString, digits, 27.88},
+	}
+	for _, g := range gens {
+		rng := rand.New(rand.NewSource(11))
+		counts := map[rune]int{}
+		total := 0
+		for total < 200000 {
+			for _, c := range g.gen(rng, 1, 40) {
+				counts[c]++
+				total++
+			}
+		}
+		chi2 := 0.0
+		want := float64(total) / float64(len(g.alphabet))
+		for _, c := range g.alphabet {
+			d := float64(counts[c]) - want
+			chi2 += d * d / want
+			delete(counts, c)
+		}
+		if len(counts) != 0 {
+			t.Fatalf("%s drew characters outside its alphabet: %v", g.name, counts)
+		}
+		if chi2 > g.crit {
+			t.Fatalf("%s: chi-square %.1f over %d characters exceeds %.1f", g.name, chi2, total, g.crit)
+		}
+		// The same seed gives the same strings.
+		a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+		for i := 0; i < 50; i++ {
+			if x, y := g.gen(a, 0, 30), g.gen(b, 0, 30); x != y {
+				t.Fatalf("%s: seed 5 drew %q then %q", g.name, x, y)
+			}
+		}
+	}
 }
 
 func TestZipfianSkew(t *testing.T) {

@@ -287,15 +287,3 @@ func BenchmarkInsert(b *testing.B) {
 		tr.Insert(intKey(int64(i)), int64(i))
 	}
 }
-
-func BenchmarkGet(b *testing.B) {
-	tr := New()
-	for i := int64(0); i < 100000; i++ {
-		tr.Insert(intKey(i), i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Get(intKey(int64(i % 100000)))
-	}
-}

@@ -223,7 +223,7 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 	if err != nil || hello.Proto != ProtoVersion {
 		return
 	}
-	w, err := c.attach(hello, conn, bw)
+	w, lastSeq, err := c.attach(hello, conn, bw)
 	if err != nil {
 		return
 	}
@@ -233,6 +233,7 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 		WorkerID:    w.id,
 		FlushUS:     c.opts.Flush.Microseconds(),
 		HeartbeatUS: c.opts.Heartbeat.Microseconds(),
+		LastSeq:     lastSeq,
 	}
 	w.wmu.Lock()
 	err = WriteFrame(bw, FrameWelcome, welcome.encode())
@@ -259,7 +260,7 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			c.applyStats(w, u, now)
+			c.applyStats(w, conn, u, now)
 		case FrameHeartbeat:
 			hb, err := decodeHeartbeat(payload)
 			if err != nil {
@@ -279,8 +280,10 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 // match an existing registration and replaces any previous connection (the
 // reconnect path). The first attach fixes the cluster's benchmark type list;
 // later workers must present the same list or they are rejected — per-type
-// deltas are indexed, so a mismatched list would corrupt the merge.
-func (c *Coordinator) attach(h Hello, conn net.Conn, bw *bufio.Writer) (*workerState, error) {
+// deltas are indexed, so a mismatched list would corrupt the merge. It
+// returns the Seq of the last update applied for the worker, read in the
+// same critical section that makes conn the worker's only applying session.
+func (c *Coordinator) attach(h Hello, conn net.Conn, bw *bufio.Writer) (*workerState, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var w *workerState
@@ -296,7 +299,7 @@ func (c *Coordinator) attach(h Hello, conn net.Conn, bw *bufio.Writer) (*workerS
 		var ok bool
 		w, ok = c.workers[h.WorkerID]
 		if !ok {
-			return nil, fmt.Errorf("cluster: unknown worker id %d", h.WorkerID)
+			return nil, 0, fmt.Errorf("cluster: unknown worker id %d", h.WorkerID)
 		}
 		if old := w.conn; old != nil && old != conn {
 			_ = old.Close()
@@ -306,7 +309,7 @@ func (c *Coordinator) attach(h Hello, conn net.Conn, bw *bufio.Writer) (*workerS
 		c.feed = stats.NewCollectorWindow(h.Types, c.opts.Window)
 		c.benchmark = h.Benchmark
 	} else if !slices.Equal(c.feed.Types(), h.Types) {
-		return nil, fmt.Errorf("cluster: worker %d type list does not match cluster", w.id)
+		return nil, 0, fmt.Errorf("cluster: worker %d type list does not match cluster", w.id)
 	}
 	now := time.Now()
 	// conn/bw flips take the write mutex too: broadcastAssign reads them
@@ -318,7 +321,7 @@ func (c *Coordinator) attach(h Hello, conn net.Conn, bw *bufio.Writer) (*workerS
 	w.wmu.Unlock()
 	w.lastSeen = now
 	w.lastUpdate = now
-	return w, nil
+	return w, w.lastSeq, nil
 }
 
 // detach drops a worker's connection (peer loss or Bye) and rebalances rate
@@ -339,13 +342,18 @@ func (c *Coordinator) detach(w *workerState, conn net.Conn) {
 	c.broadcastAssign()
 }
 
-// applyStats folds one worker's update into its counters and the merged
-// feed. Duplicate or reordered updates (possible across a reconnect replay)
-// are rejected by sequence number, which preserves the exactness of the
-// merged counters.
-func (c *Coordinator) applyStats(w *workerState, u StatsUpdate, now time.Time) {
+// applyStats folds one worker's update, read from conn, into its counters
+// and the merged feed. Duplicate or reordered updates (possible across a
+// reconnect replay) are rejected by sequence number, which preserves the
+// exactness of the merged counters. So are updates a replaced session still
+// had buffered: the new session's Welcome already told the worker where the
+// applied stream ends, and the worker re-sends from there.
+func (c *Coordinator) applyStats(w *workerState, conn net.Conn, u StatsUpdate, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if w.conn != conn {
+		return
+	}
 	w.lastSeen = now
 	if u.Seq <= w.lastSeq {
 		return

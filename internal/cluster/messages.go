@@ -42,13 +42,16 @@ func decodeHello(p []byte) (Hello, error) {
 	return h, d.finish()
 }
 
-// Welcome answers a Hello: the worker's assigned id and the cadences the
+// Welcome answers a Hello: the worker's assigned id, the cadences the
 // coordinator wants it to run at (stat flush deadline, heartbeat interval),
-// in microseconds.
+// in microseconds, and the Seq of the last StatsUpdate it applied for this
+// id (0 for a new worker). A resuming worker re-sends every update after
+// LastSeq: those went into a connection the coordinator had already dropped.
 type Welcome struct {
 	WorkerID    uint64
 	FlushUS     int64
 	HeartbeatUS int64
+	LastSeq     uint64
 }
 
 func (w Welcome) encode() []byte {
@@ -56,6 +59,7 @@ func (w Welcome) encode() []byte {
 	e.uvarint(w.WorkerID)
 	e.varint(w.FlushUS)
 	e.varint(w.HeartbeatUS)
+	e.uvarint(w.LastSeq)
 	return e.b
 }
 
@@ -65,6 +69,7 @@ func decodeWelcome(p []byte) (Welcome, error) {
 		WorkerID:    d.uvarint(),
 		FlushUS:     d.varint(),
 		HeartbeatUS: d.varint(),
+		LastSeq:     d.uvarint(),
 	}
 	return w, d.finish()
 }

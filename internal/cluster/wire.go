@@ -33,7 +33,7 @@ import (
 
 // ProtoVersion is the cluster wire protocol version. Hello frames carry it;
 // both sides reject a mismatch rather than misparse.
-const ProtoVersion = 2
+const ProtoVersion = 3
 
 // MaxFrameBytes bounds one frame's payload. The largest legitimate frame is
 // a stats batch covering every type of a wide benchmark with fully occupied

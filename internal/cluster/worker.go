@@ -56,7 +56,24 @@ type workerAgent struct {
 	// cumulative stream instead of restarting it.
 	seq  uint64
 	sent stats.Delta // the collector's Cumulative as of the last update
+	// unacked holds the encoded updates no Welcome has yet shown applied,
+	// oldest first and at most maxResend of them. Nothing else acknowledges
+	// an update, so any of them may have gone into a connection the
+	// coordinator had already dropped; the next Welcome says which.
+	unacked []sentUpdate
 }
+
+// sentUpdate is one encoded StatsUpdate, kept for re-sending.
+type sentUpdate struct {
+	seq     uint64
+	payload []byte
+}
+
+// maxResend bounds the updates a worker can re-send after a reconnect: 16 s
+// of flushes at the default cadence. Updates are kept encoded (sparse, a
+// few hundred bytes) rather than as cumulative baselines to rebase on, which
+// are dense (two full histograms per type) and would cost ~200 KB each.
+const maxResend = 64
 
 // RunWorker runs m as one cluster worker agent: it launches the manager,
 // maintains a control-wire connection to the coordinator (reconnecting with
@@ -107,29 +124,10 @@ func (a *workerAgent) session(ctx context.Context, conn net.Conn) bool {
 	br := bufio.NewReaderSize(conn, 16<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 
-	hello := Hello{
-		Proto:     ProtoVersion,
-		WorkerID:  a.opts.WorkerID,
-		Name:      a.opts.Name,
-		Benchmark: a.opts.Benchmark,
-		DB:        a.opts.DB,
-		Types:     a.c.Types(),
-	}
-	if err := WriteFrame(bw, FrameHello, hello.encode()); err != nil {
-		return false
-	}
-	if err := bw.Flush(); err != nil {
-		return false
-	}
-	typ, payload, err := ReadFrame(br)
-	if err != nil || typ != FrameWelcome {
-		return false
-	}
-	w, err := decodeWelcome(payload)
+	w, err := a.handshake(br, bw)
 	if err != nil {
 		return false
 	}
-	a.opts.WorkerID = w.WorkerID // keep the assigned id across reconnects
 
 	// The reader goroutine owns inbound frames (assignments); this goroutine
 	// owns all writes. connDead closes when the peer is gone.
@@ -150,6 +148,11 @@ func (a *workerAgent) session(ctx context.Context, conn net.Conn) bool {
 			// coordinator may add advisory frames.
 		}
 	}()
+	// Re-send only once the reader runs: a coordinator still writing its
+	// first Assign must not wait on a worker that is busy writing.
+	if err := a.resume(bw, w.LastSeq); err != nil {
+		return false
+	}
 
 	flushEvery := time.Duration(w.FlushUS) * time.Microsecond
 	if flushEvery <= 0 {
@@ -191,6 +194,60 @@ func (a *workerAgent) session(ctx context.Context, conn net.Conn) bool {
 	}
 }
 
+// handshake sends the Hello and reads the Welcome.
+func (a *workerAgent) handshake(br *bufio.Reader, bw *bufio.Writer) (Welcome, error) {
+	hello := Hello{
+		Proto:     ProtoVersion,
+		WorkerID:  a.opts.WorkerID,
+		Name:      a.opts.Name,
+		Benchmark: a.opts.Benchmark,
+		DB:        a.opts.DB,
+		Types:     a.c.Types(),
+	}
+	if err := WriteFrame(bw, FrameHello, hello.encode()); err != nil {
+		return Welcome{}, err
+	}
+	if err := bw.Flush(); err != nil {
+		return Welcome{}, err
+	}
+	typ, payload, err := ReadFrame(br)
+	if err != nil {
+		return Welcome{}, err
+	}
+	if typ != FrameWelcome {
+		return Welcome{}, fmt.Errorf("cluster: expected Welcome, got frame type %d", typ)
+	}
+	w, err := decodeWelcome(payload)
+	if err != nil {
+		return Welcome{}, err
+	}
+	a.opts.WorkerID = w.WorkerID // keep the assigned id across reconnects
+	return w, nil
+}
+
+// resume re-sends, in order, the kept updates after applied, the last Seq the
+// coordinator applied for this worker: they were written into a connection
+// it had already dropped. They stay kept, since this connection may drop
+// them too. A coordinator ahead of the agent (a restarted worker process
+// presenting its registered id) moves the agent's Seq past its own, or it
+// would drop every update as a duplicate.
+func (a *workerAgent) resume(bw *bufio.Writer, applied uint64) error {
+	kept := a.unacked[:0]
+	for _, u := range a.unacked {
+		if u.seq > applied {
+			kept = append(kept, u)
+		}
+	}
+	a.unacked = kept
+	a.seq = max(a.seq, applied)
+	for _, u := range kept {
+		if err := WriteFrame(bw, FrameStats, u.payload); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
 // applyAssign applies one assignment to the manager's dynamic controls,
 // guarded by generation so a stale frame replayed across a reconnect cannot
 // roll newer controls back.
@@ -217,21 +274,25 @@ func (a *workerAgent) applyAssign(asg Assign) {
 	}
 }
 
-// buildUpdate ships the collector's movement since the last update and
-// advances the baseline. Deltas are exact: every counter movement is shipped
-// exactly once, which is what keeps the coordinator's merged totals equal to
-// the sum of the workers'.
-func (a *workerAgent) buildUpdate() StatsUpdate {
+// buildUpdate encodes the collector's movement since the last update,
+// advances the baseline and keeps the payload until a Welcome shows it
+// applied. Deltas are exact: every counter movement is applied exactly once,
+// which is what keeps the coordinator's merged totals equal to the sum of
+// the workers'.
+func (a *workerAgent) buildUpdate() []byte {
 	a.seq++
 	cur := a.c.Cumulative()
-	u := StatsUpdate{Seq: a.seq, Delta: cur.Since(a.sent)}
+	payload := StatsUpdate{Seq: a.seq, Delta: cur.Since(a.sent)}.encode()
 	a.sent = cur
-	return u
+	if len(a.unacked) == maxResend {
+		a.unacked = a.unacked[1:]
+	}
+	a.unacked = append(a.unacked, sentUpdate{seq: a.seq, payload: payload})
+	return payload
 }
 
 func (a *workerAgent) writeUpdate(bw *bufio.Writer) error {
-	u := a.buildUpdate()
-	if err := WriteFrame(bw, FrameStats, u.encode()); err != nil {
+	if err := WriteFrame(bw, FrameStats, a.buildUpdate()); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -113,11 +113,18 @@ echo "==> go test -race storage stress (striped store + online vacuum; group-com
 # and vacuum, the live heap holds less than two records per row.
 go test -race -count=1 -run 'TestStorageStressConcurrent|TestWriterCountBalances|TestVacuumBacklogComplete|TestIndexKeysDoNotPinRecords' ./internal/sqldb/txn/ ./internal/sqldb/
 
-echo "==> allocation smoke (prepared point read: objects; prepared 100-row scan: bytes; writing transaction: objects; row image: one allocation)"
+echo "==> allocation smoke (prepared point read: objects; prepared 100-row scan: bytes; writing transaction: objects; row image: one allocation; B+tree point lookup: none)"
 # sh has no pipefail: keep go test's exit status instead of grep's, so a
 # failing budget fails the gate.
-SMOKE=$(go test -count=1 -run 'TestPreparedPointReadAllocSmoke|TestPreparedRangeScanAllocSmoke|TestWritingTxnAllocSmoke|TestRowImageOneAlloc' -v ./internal/sqldb/) || { echo "$SMOKE"; exit 1; }
+SMOKE=$(go test -count=1 -run 'TestPreparedPointReadAllocSmoke|TestPreparedRangeScanAllocSmoke|TestWritingTxnAllocSmoke|TestRowImageOneAlloc|TestTreeGetNoAlloc' -v ./internal/sqldb/ ./internal/btree/) || { echo "$SMOKE"; exit 1; }
 echo "$SMOKE" | grep -E 'allocs/op|B/op|row image|PASS|FAIL'
+
+echo "==> B+tree key heads fuzz (10 s): the headed comparison agrees with sqlval.CompareRows"
+# Any two keys over every kind (NULL, Top, integers at the encoding's tag
+# edges and +-2^63, Bool, Time, Float, numeric and other text, differing
+# lengths): a head decision must equal CompareRows, and the headed prefix
+# test the column-by-column one.
+go test -run X -fuzz FuzzKeyHead -fuzztime 10s -parallel 2 ./internal/btree/
 
 echo "==> bench smoke (bench/run.sh --smoke: the one benchmark, end to end)"
 # Tiny scales, one measured second, quarter rates: every workload runs
