@@ -1,44 +1,132 @@
-// Package btree implements an in-memory B+tree keyed by composite SQL values.
+// Package btree implements an in-memory B+tree over byte-string keys.
 //
-// The tree maps a composite key ([]sqlval.Value) to a single int64 payload
-// (a row id in the storage layer). Non-unique secondary indexes achieve set
-// semantics by appending the row id to the key, which keeps every key unique
-// while preserving order on the indexed prefix.
+// A key is the order-preserving encoding of a composite SQL key
+// (sqlval.AppendKey), ordered by bytes.Compare, and maps to one int64 (a row
+// id in the storage layer). Non-unique secondary indexes append the row id
+// to the key, which keeps every key unique while preserving order on the
+// indexed prefix.
 //
-// Every node keeps, beside its keys, each key's head: an 8-byte
-// order-preserving prefix (head.go). Searches compare heads and fall back to
-// sqlval.CompareRows only when two heads tie, so a lookup over integer keys
-// reads one contiguous []uint64 per node instead of a key slice per probe.
+// Every node keeps its keys' bytes in one pointer-free arena, and beside
+// them each key's head: its first bytes in one word (head.go). Searches
+// compare heads and read a key's bytes only when two heads tie, so a lookup
+// over short keys reads one contiguous []uint64 per node.
 //
 // The tree is NOT internally synchronized; the storage layer guards each
-// index with its own mutex so that lock granularity stays under the control
-// of the concurrency-control engine.
+// index with its own latch (Latched). Keys the tree hands out outlive the
+// latch (see keys).
 package btree
 
-import (
-	"benchpress/internal/sqlval"
-)
+import "slices"
 
 // degree is the maximum number of children of an interior node. 32 keeps
-// nodes within a couple of cache lines of Value headers while holding tree
-// height at 4-5 for the table sizes the benchmarks load.
+// a node's heads within four cache lines while holding tree height at 4-5
+// for the table sizes the benchmarks load.
 const degree = 32
 
-// Key is a composite index key.
-type Key = []sqlval.Value
+// keys is a node's sorted keys: their bytes in one arena, and per key its
+// span in the arena and its head. A node thus holds three pointer-free
+// arrays however many columns its keys have.
+//
+// The arena is append-only: a byte once written never changes, and a key
+// that needs room the arena lacks goes into a fresh arena with the live
+// keys (compact), leaving the old one to whoever still holds keys from it.
+// So a key handed out (at) stays valid and unchanged after the caller's
+// latch is released, whatever the tree does next.
+type keys struct {
+	arena []byte
+	spans []uint64 // spans[i] = start<<32 | end of key i in arena
+	heads []uint64 // heads[i] is keyHead(key i)
+}
+
+// at returns key i, capped so that appending to it cannot reach the arena.
+func (k *keys) at(i int) []byte {
+	s := k.spans[i]
+	lo, hi := s>>32, s&0xFFFFFFFF
+	return k.arena[lo:hi:hi]
+}
+
+// insertKey copies key, with head h, into position i.
+func (k *keys) insertKey(i int, key []byte, h uint64) {
+	if len(k.arena)+len(key) > cap(k.arena) {
+		k.compact(len(k.arena) + len(key))
+	}
+	lo := len(k.arena)
+	k.arena = append(k.arena, key...)
+	k.spans = slices.Insert(k.spans, i, uint64(lo)<<32|uint64(len(k.arena)))
+	k.heads = slices.Insert(k.heads, i, h)
+}
+
+// removeKey drops key i; its bytes stay in the arena until it is compacted.
+func (k *keys) removeKey(i int) {
+	k.spans = slices.Delete(k.spans, i, i+1)
+	k.heads = slices.Delete(k.heads, i, i+1)
+}
+
+// compact moves the live keys, in order, into a fresh arena with room for
+// extra more bytes.
+func (k *keys) compact(extra int) {
+	live := 0
+	for _, s := range k.spans {
+		live += int(s&0xFFFFFFFF - s>>32)
+	}
+	a := make([]byte, 0, live+extra)
+	for i := range k.spans {
+		lo := len(a)
+		a = append(a, k.at(i)...)
+		k.spans[i] = uint64(lo)<<32 | uint64(len(a))
+	}
+	k.arena = a
+}
+
+// split cuts k to its first cut keys and returns the keys from from on;
+// both end up in arenas of their exact size.
+func (k *keys) split(cut, from int) keys {
+	r := keys{
+		arena: k.arena,
+		spans: append([]uint64(nil), k.spans[from:]...),
+		heads: append([]uint64(nil), k.heads[from:]...),
+	}
+	r.compact(0)
+	k.spans = k.spans[:cut:cut]
+	k.heads = k.heads[:cut:cut]
+	k.compact(0)
+	return r
+}
+
+// lowerBound returns the index of the first key >= key (head h) with bias
+// 0, or of the first key > key with bias 1: interior nodes route with bias
+// 1, key i being the minimum of child i+1.
+func (k *keys) lowerBound(h uint64, key []byte, bias int) int {
+	lo, hi := 0, len(k.heads)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		c := headOrder(k.heads[mid], h)
+		if c == headTie {
+			c = compare(k.heads[mid], k.at(mid), h, key)
+		}
+		if c < bias {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// cmp compares key i with key (head h).
+func (k *keys) cmp(i int, h uint64, key []byte) int {
+	return compare(k.heads[i], k.at(i), h, key)
+}
 
 type leaf struct {
-	keys  [][]sqlval.Value
-	heads []uint64 // heads[i] is keyHead(keys[i])
-	vals  []int64
-	next  *leaf
-	prev  *leaf
+	keys
+	vals []int64
+	next *leaf
+	prev *leaf
 }
 
 type interior struct {
-	// keys[i] is the smallest key reachable under children[i+1].
-	keys     [][]sqlval.Value
-	heads    []uint64 // heads[i] is keyHead(keys[i])
+	keys     // key i is the smallest key reachable under children[i+1]
 	children []node
 }
 
@@ -65,25 +153,24 @@ func New() *Tree {
 func (t *Tree) Len() int { return t.size }
 
 // Get returns the payload stored under key, if present.
-func (t *Tree) Get(key Key) (int64, bool) {
+func (t *Tree) Get(key []byte) (int64, bool) {
 	h := keyHead(key)
 	l, i := t.findLeaf(h, key)
-	if i < len(l.keys) && compare(l.heads[i], l.keys[i], h, key) == 0 {
+	if i < len(l.heads) && l.cmp(i, h, key) == 0 {
 		return l.vals[i], true
 	}
 	return 0, false
 }
 
 // Insert stores val under key, replacing any previous payload. It reports
-// whether the key was newly inserted (false means replaced).
-func (t *Tree) Insert(key Key, val int64) bool {
+// whether the key was newly inserted (false means replaced). The tree keeps
+// a copy of key's bytes, never key itself.
+func (t *Tree) Insert(key []byte, val int64) bool {
 	newChild, splitKey, splitHead, inserted := t.insert(t.root, keyHead(key), key, val)
 	if newChild != nil {
-		t.root = &interior{
-			keys:     [][]sqlval.Value{splitKey},
-			heads:    []uint64{splitHead},
-			children: []node{t.root, newChild},
-		}
+		root := &interior{children: []node{t.root, newChild}}
+		root.insertKey(0, splitKey, splitHead)
+		t.root = root
 	}
 	if inserted {
 		t.size++
@@ -96,15 +183,14 @@ func (t *Tree) Insert(key Key, val int64) bool {
 // insert-heavy and deletes are comparatively rare, so the tree trades
 // worst-case density for simpler, faster common paths. Empty leaves are
 // unlinked from the scan chain lazily during iteration.
-func (t *Tree) Delete(key Key) bool {
+func (t *Tree) Delete(key []byte) bool {
 	h := keyHead(key)
 	l, i := t.findLeaf(h, key)
-	if i >= len(l.keys) || compare(l.heads[i], l.keys[i], h, key) != 0 {
+	if i >= len(l.heads) || l.cmp(i, h, key) != 0 {
 		return false
 	}
-	l.keys = append(l.keys[:i], l.keys[i+1:]...)
-	l.heads = append(l.heads[:i], l.heads[i+1:]...)
-	l.vals = append(l.vals[:i], l.vals[i+1:]...)
+	l.removeKey(i)
+	l.vals = slices.Delete(l.vals, i, i+1)
 	t.size--
 	return true
 }
@@ -112,7 +198,7 @@ func (t *Tree) Delete(key Key) bool {
 // AscendRange calls fn for each entry with from <= key <= to in ascending
 // order. A nil from starts at the smallest key; a nil to ends at the largest.
 // Iteration stops early when fn returns false.
-func (t *Tree) AscendRange(from, to Key, fn func(key Key, val int64) bool) {
+func (t *Tree) AscendRange(from, to []byte, fn func(key []byte, val int64) bool) {
 	var l *leaf
 	var i int
 	if from == nil {
@@ -122,11 +208,11 @@ func (t *Tree) AscendRange(from, to Key, fn func(key Key, val int64) bool) {
 	}
 	th := keyHead(to)
 	for l != nil {
-		for ; i < len(l.keys); i++ {
-			if to != nil && compare(l.heads[i], l.keys[i], th, to) > 0 {
+		for ; i < len(l.heads); i++ {
+			if to != nil && l.cmp(i, th, to) > 0 {
 				return
 			}
-			if !fn(l.keys[i], l.vals[i]) {
+			if !fn(l.at(i), l.vals[i]) {
 				return
 			}
 		}
@@ -137,53 +223,53 @@ func (t *Tree) AscendRange(from, to Key, fn func(key Key, val int64) bool) {
 
 // DescendRange calls fn for each entry with from >= key >= to in descending
 // order. A nil from starts at the largest key; a nil to ends at the smallest.
-func (t *Tree) DescendRange(from, to Key, fn func(key Key, val int64) bool) {
+func (t *Tree) DescendRange(from, to []byte, fn func(key []byte, val int64) bool) {
 	var l *leaf
 	var i int
 	if from == nil {
 		l = t.last
-		i = len(l.keys) - 1
+		i = len(l.heads) - 1
 	} else {
 		fh := keyHead(from)
 		l, i = t.findLeaf(fh, from)
 		// findLeaf positions at the first key >= from; step back to the
 		// last key <= from.
-		if i >= len(l.keys) || compare(l.heads[i], l.keys[i], fh, from) > 0 {
+		if i >= len(l.heads) || l.cmp(i, fh, from) > 0 {
 			i--
 		}
 	}
 	th := keyHead(to)
 	for l != nil {
 		for ; i >= 0; i-- {
-			if i >= len(l.keys) {
+			if i >= len(l.heads) {
 				continue
 			}
-			if to != nil && compare(l.heads[i], l.keys[i], th, to) < 0 {
+			if to != nil && l.cmp(i, th, to) < 0 {
 				return
 			}
-			if !fn(l.keys[i], l.vals[i]) {
+			if !fn(l.at(i), l.vals[i]) {
 				return
 			}
 		}
 		l = l.prev
 		if l != nil {
-			i = len(l.keys) - 1
+			i = len(l.heads) - 1
 		}
 	}
 }
 
 // AscendPrefix calls fn for each entry whose key begins with prefix, in
 // ascending order. Useful for non-unique indexes where the physical key is
-// (indexed columns..., rowid).
-func (t *Tree) AscendPrefix(prefix Key, fn func(key Key, val int64) bool) {
+// (indexed columns..., rowid): a column prefix is a byte prefix.
+func (t *Tree) AscendPrefix(prefix []byte, fn func(key []byte, val int64) bool) {
 	ph := keyHead(prefix)
 	l, i := t.findLeaf(ph, prefix)
 	for l != nil {
-		for ; i < len(l.keys); i++ {
-			if !hasPrefix(l.heads[i], l.keys[i], ph, prefix) {
+		for ; i < len(l.heads); i++ {
+			if !hasPrefix(l.heads[i], l.at(i), ph, prefix) {
 				return
 			}
-			if !fn(l.keys[i], l.vals[i]) {
+			if !fn(l.at(i), l.vals[i]) {
 				return
 			}
 		}
@@ -192,149 +278,70 @@ func (t *Tree) AscendPrefix(prefix Key, fn func(key Key, val int64) bool) {
 	}
 }
 
-// hasPrefix reports whether key (head kh) begins with prefix (head ph). The
-// heads decide when they differ inside both encoded lengths (no) or when a
-// whole prefix head is covered by the key's (yes).
-func hasPrefix(kh uint64, key Key, ph uint64, prefix Key) bool {
-	if headOrder(kh, ph) != headTie {
-		return false
-	}
-	if ph&headWhole != 0 && ph&headLen <= kh&headLen {
-		return true
-	}
-	if len(key) < len(prefix) {
-		return false
-	}
-	for i := range prefix {
-		if sqlval.Compare(key[i], prefix[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // findLeaf walks to the leaf that would contain key and returns it together
 // with the index of the first entry >= key within that leaf.
-func (t *Tree) findLeaf(h uint64, key Key) (*leaf, int) {
+func (t *Tree) findLeaf(h uint64, key []byte) (*leaf, int) {
 	n := t.root
 	for {
 		switch x := n.(type) {
 		case *interior:
-			i := lowerBoundStrict(x.heads, x.keys, h, key)
-			n = x.children[i]
+			n = x.children[x.lowerBound(h, key, 1)]
 		case *leaf:
-			return x, lowerBound(x.heads, x.keys, h, key)
+			return x, x.lowerBound(h, key, 0)
 		}
 	}
-}
-
-// lowerBound returns the index of the first element >= key (head h).
-func lowerBound(heads []uint64, keys [][]sqlval.Value, h uint64, key Key) int {
-	lo, hi := 0, len(heads)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		c := headOrder(heads[mid], h)
-		if c == headTie {
-			c = compareTied(heads[mid], keys[mid], h, key)
-		}
-		if c < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// lowerBoundStrict returns the index of the first element > key (head h);
-// used for routing in interior nodes where keys[i] is the minimum of
-// children[i+1].
-func lowerBoundStrict(heads []uint64, keys [][]sqlval.Value, h uint64, key Key) int {
-	lo, hi := 0, len(heads)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		c := headOrder(heads[mid], h)
-		if c == headTie {
-			c = compareTied(heads[mid], keys[mid], h, key)
-		}
-		if c <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // insert recursively inserts key (head h) into n. When n splits, it returns
 // the new right sibling and the key separating the halves, with its head.
-func (t *Tree) insert(n node, h uint64, key Key, val int64) (split node, splitKey Key, splitHead uint64, inserted bool) {
+func (t *Tree) insert(n node, h uint64, key []byte, val int64) (split node, splitKey []byte, splitHead uint64, inserted bool) {
 	switch x := n.(type) {
 	case *leaf:
-		i := lowerBound(x.heads, x.keys, h, key)
-		if i < len(x.keys) && compare(x.heads[i], x.keys[i], h, key) == 0 {
+		i := x.lowerBound(h, key, 0)
+		if i < len(x.heads) && x.cmp(i, h, key) == 0 {
 			x.vals[i] = val
 			return nil, nil, 0, false
 		}
-		x.keys = append(x.keys, nil)
-		copy(x.keys[i+1:], x.keys[i:])
-		x.keys[i] = key
-		x.heads = append(x.heads, 0)
-		copy(x.heads[i+1:], x.heads[i:])
-		x.heads[i] = h
-		x.vals = append(x.vals, 0)
-		copy(x.vals[i+1:], x.vals[i:])
-		x.vals[i] = val
-		if len(x.keys) < degree {
+		x.insertKey(i, key, h)
+		x.vals = slices.Insert(x.vals, i, val)
+		if len(x.heads) < degree {
 			return nil, nil, 0, true
 		}
 		// Split the leaf in half.
-		mid := len(x.keys) / 2
+		mid := len(x.heads) / 2
 		right := &leaf{
-			keys:  append([][]sqlval.Value(nil), x.keys[mid:]...),
-			heads: append([]uint64(nil), x.heads[mid:]...),
-			vals:  append([]int64(nil), x.vals[mid:]...),
-			next:  x.next,
-			prev:  x,
+			keys: x.split(mid, mid),
+			vals: append([]int64(nil), x.vals[mid:]...),
+			next: x.next,
+			prev: x,
 		}
 		if x.next != nil {
 			x.next.prev = right
 		} else {
 			t.last = right
 		}
-		x.keys = x.keys[:mid:mid]
-		x.heads = x.heads[:mid:mid]
 		x.vals = x.vals[:mid:mid]
 		x.next = right
-		return right, right.keys[0], right.heads[0], true
+		return right, right.at(0), right.heads[0], true
 	case *interior:
-		i := lowerBoundStrict(x.heads, x.keys, h, key)
+		i := x.lowerBound(h, key, 1)
 		child, childKey, childHead, ins := t.insert(x.children[i], h, key, val)
 		if child == nil {
 			return nil, nil, 0, ins
 		}
-		x.keys = append(x.keys, nil)
-		copy(x.keys[i+1:], x.keys[i:])
-		x.keys[i] = childKey
-		x.heads = append(x.heads, 0)
-		copy(x.heads[i+1:], x.heads[i:])
-		x.heads[i] = childHead
-		x.children = append(x.children, nil)
-		copy(x.children[i+2:], x.children[i+1:])
-		x.children[i+1] = child
+		x.insertKey(i, childKey, childHead)
+		x.children = slices.Insert(x.children, i+1, child)
 		if len(x.children) <= degree {
 			return nil, nil, 0, ins
 		}
-		// Split the interior node; the middle key moves up.
-		mid := len(x.keys) / 2
-		upKey, upHead := x.keys[mid], x.heads[mid]
+		// Split the interior node; the middle key moves up. It stays valid
+		// across the split: split compacts into fresh arenas.
+		mid := len(x.heads) / 2
+		upKey, upHead := x.at(mid), x.heads[mid]
 		right := &interior{
-			keys:     append([][]sqlval.Value(nil), x.keys[mid+1:]...),
-			heads:    append([]uint64(nil), x.heads[mid+1:]...),
+			keys:     x.split(mid, mid+1),
 			children: append([]node(nil), x.children[mid+1:]...),
 		}
-		x.keys = x.keys[:mid:mid]
-		x.heads = x.heads[:mid:mid]
 		x.children = x.children[: mid+1 : mid+1]
 		return right, upKey, upHead, ins
 	}

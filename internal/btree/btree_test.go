@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,10 +10,11 @@ import (
 	"benchpress/internal/sqlval"
 )
 
-func intKey(vs ...int64) Key {
-	k := make(Key, len(vs))
-	for i, v := range vs {
-		k[i] = sqlval.NewInt(v)
+// intKey encodes a composite key of integers.
+func intKey(vs ...int64) []byte {
+	var k []byte
+	for _, v := range vs {
+		k = sqlval.AppendKey(k, sqlval.NewInt(v))
 	}
 	return k
 }
@@ -82,7 +84,7 @@ func TestAscendRange(t *testing.T) {
 		tr.Insert(intKey(i), i)
 	}
 	var got []int64
-	tr.AscendRange(intKey(10), intKey(20), func(k Key, v int64) bool {
+	tr.AscendRange(intKey(10), intKey(20), func(k []byte, v int64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -90,7 +92,7 @@ func TestAscendRange(t *testing.T) {
 		t.Fatalf("AscendRange[10,20] = %v", got)
 	}
 	got = got[:0]
-	tr.AscendRange(nil, intKey(3), func(k Key, v int64) bool {
+	tr.AscendRange(nil, intKey(3), func(k []byte, v int64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -99,7 +101,7 @@ func TestAscendRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tr.AscendRange(nil, nil, func(k Key, v int64) bool {
+	tr.AscendRange(nil, nil, func(k []byte, v int64) bool {
 		n++
 		return n < 5
 	})
@@ -114,7 +116,7 @@ func TestDescendRange(t *testing.T) {
 		tr.Insert(intKey(i), i)
 	}
 	var got []int64
-	tr.DescendRange(intKey(20), intKey(10), func(k Key, v int64) bool {
+	tr.DescendRange(intKey(20), intKey(10), func(k []byte, v int64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -122,7 +124,7 @@ func TestDescendRange(t *testing.T) {
 		t.Fatalf("DescendRange[20,10] = %v", got)
 	}
 	got = got[:0]
-	tr.DescendRange(nil, nil, func(k Key, v int64) bool {
+	tr.DescendRange(nil, nil, func(k []byte, v int64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -135,7 +137,7 @@ func TestDescendRange(t *testing.T) {
 		tr2.Insert(intKey(i), i)
 	}
 	got = got[:0]
-	tr2.DescendRange(intKey(35), nil, func(k Key, v int64) bool {
+	tr2.DescendRange(intKey(35), nil, func(k []byte, v int64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -154,7 +156,7 @@ func TestAscendPrefix(t *testing.T) {
 		}
 	}
 	var got []int64
-	tr.AscendPrefix(intKey(3), func(k Key, v int64) bool {
+	tr.AscendPrefix(intKey(3), func(k []byte, v int64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -193,12 +195,12 @@ func TestRandomizedAgainstMap(t *testing.T) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	i := 0
-	tr.AscendRange(nil, nil, func(k Key, v int64) bool {
+	tr.AscendRange(nil, nil, func(k []byte, v int64) bool {
 		if i >= len(keys) {
 			t.Fatalf("scan returned extra key %v", k)
 		}
-		if k[0].Int() != keys[i] || v != ref[keys[i]] {
-			t.Fatalf("scan[%d] = (%d,%d), want (%d,%d)", i, k[0].Int(), v, keys[i], ref[keys[i]])
+		if !bytes.Equal(k, intKey(keys[i])) || v != ref[keys[i]] {
+			t.Fatalf("scan[%d] = (%x,%d), want (%d,%d)", i, k, v, keys[i], ref[keys[i]])
 		}
 		i++
 		return true
@@ -219,7 +221,7 @@ func TestScanOrderProperty(t *testing.T) {
 			tr.Insert(intKey(k), k)
 		}
 		var asc []int64
-		tr.AscendRange(nil, nil, func(k Key, v int64) bool {
+		tr.AscendRange(nil, nil, func(k []byte, v int64) bool {
 			asc = append(asc, v)
 			return true
 		})
@@ -232,7 +234,7 @@ func TestScanOrderProperty(t *testing.T) {
 			}
 		}
 		var desc []int64
-		tr.DescendRange(nil, nil, func(k Key, v int64) bool {
+		tr.DescendRange(nil, nil, func(k []byte, v int64) bool {
 			desc = append(desc, v)
 			return true
 		})
@@ -251,7 +253,8 @@ func TestScanOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: composite string keys order lexicographically by column.
+// Property: composite keys order lexicographically by column. Each entry's
+// payload ranks its (a, b) pair, so the payloads of a scan must rise.
 func TestCompositeKeyOrderProperty(t *testing.T) {
 	prop := func(pairs []struct{ A, B int8 }) bool {
 		tr := New()
@@ -259,18 +262,18 @@ func TestCompositeKeyOrderProperty(t *testing.T) {
 		uniq := map[pk]bool{}
 		for _, p := range pairs {
 			uniq[pk{p.A, p.B}] = true
-			tr.Insert(intKey(int64(p.A), int64(p.B)), 0)
+			tr.Insert(intKey(int64(p.A), int64(p.B)), (int64(p.A)+128)<<8|(int64(p.B)+128))
 		}
-		prev := Key(nil)
+		prev := int64(-1)
 		ok := true
 		n := 0
-		tr.AscendRange(nil, nil, func(k Key, v int64) bool {
+		tr.AscendRange(nil, nil, func(_ []byte, v int64) bool {
 			n++
-			if prev != nil && sqlval.CompareRows(prev, k) >= 0 {
+			if v <= prev {
 				ok = false
 				return false
 			}
-			prev = append(Key(nil), k...)
+			prev = v
 			return true
 		})
 		return ok && n == len(uniq)

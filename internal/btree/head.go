@@ -1,113 +1,33 @@
 package btree
 
-import (
-	"math/bits"
+import "bytes"
 
-	"benchpress/internal/sqlval"
-)
-
-// A head is a key's first bytes in an order-preserving encoding, packed in
-// one word so that a binary search compares contiguous integers and touches
-// a key's []sqlval.Value only when the heads cannot decide (the "poor man's
-// normalized key" of Graefe and Larson, "B-tree indexes and CPU caches").
+// A head is a key's first bytes packed in one word, so that a binary search
+// compares contiguous integers and reads a key's bytes in the node's arena
+// only when the heads cannot decide (the "poor man's normalized key" of
+// Graefe and Larson, "B-tree indexes and CPU caches").
 //
-// Layout: bits 8..63 hold up to headBytes encoded bytes, first byte in the
-// top bits and unused bytes zero; bits 0..2 hold how many bytes were
-// encoded; bit 3 (headWhole) is set when those bytes encode every column.
-//
-// Encoding, one value after another (each value's bytes are self-delimiting,
-// so byte order over the concatenation is column-by-column order):
-//
-//	NULL                      0x01
-//	Top()                     0xFF
-//	Int, Bool, Time  x < 0    tag 0x10-n, then x's low n bytes big-endian,
-//	                          n = 1..8 the fewest with x >= -2^(8n)
-//	                 x < 0xE0 the single byte 0x10+x
-//	                 larger   tag 0xEF+n, then x's n bytes big-endian
-//
-// sqlval.Compare orders Int, Bool and Time as one int64 domain, which is
-// what the integer encoding preserves. Encoding stops at the first Float or
-// String column: Compare orders a string against a number by parsing it
-// and a float against an integer by widening, so no byte order agrees with
-// it there. A value that does not fit in the remaining bytes is cut short;
-// its leading bytes still order correctly.
+// Layout: bits 8..63 hold the key's first headBytes bytes, first byte in
+// the top bits and missing bytes zero; bits 0..2 hold how many bytes that
+// is; bit 3 (headWhole) is set when the head holds the whole key.
 const (
 	headBytes = 7
-	headLen   = 0x7 // mask of the encoded-byte count
-	headWhole = 0x8 // the encoded bytes cover every column
+	headLen   = 0x7 // mask of the held byte count
+	headWhole = 0x8 // the held bytes are the whole key
 )
 
-// headWriter accumulates a head one byte at a time.
-type headWriter struct {
-	h uint64
-	n uint
-}
-
-// put appends b, reporting false when the head is full.
-func (w *headWriter) put(b byte) bool {
-	if w.n == headBytes {
-		return false
-	}
-	w.h |= uint64(b) << (56 - 8*w.n)
-	w.n++
-	return true
-}
-
-// putInt appends the encoding of one integer-domain value, reporting false
-// when it did not fit whole.
-func (w *headWriter) putInt(x int64) bool {
-	var n int
-	var tag byte
-	switch {
-	case x < 0:
-		n = max(1, (bits.Len64(uint64(^x))+7)/8)
-		tag = 0x10 - byte(n)
-	case x < 0xE0:
-		return w.put(0x10 + byte(x))
-	default:
-		n = (bits.Len64(uint64(x)) + 7) / 8
-		tag = 0xEF + byte(n)
-	}
-	if !w.put(tag) {
-		return false
-	}
-	for i := n - 1; i >= 0; i-- {
-		if !w.put(byte(uint64(x) >> (8 * i))) {
-			return false
-		}
-	}
-	return true
-}
-
 // keyHead returns key's head.
-func keyHead(key Key) uint64 {
-	var w headWriter
-	for i := range key {
-		var ok bool
-		switch v := &key[i]; v.Kind() {
-		case sqlval.KindNull:
-			ok = w.put(0x01)
-		case sqlval.KindTop:
-			ok = w.put(0xFF)
-		case sqlval.KindInt, sqlval.KindBool, sqlval.KindTime:
-			ok = w.putInt(v.Int())
-		}
-		if !ok {
-			return w.h | uint64(w.n)
-		}
+func keyHead(key []byte) uint64 {
+	n := min(len(key), headBytes)
+	h := uint64(n)
+	for i, b := range key[:n] {
+		h |= uint64(b) << (56 - 8*i)
 	}
-	return w.h | uint64(w.n) | headWhole
+	if len(key) <= headBytes {
+		h |= headWhole
+	}
+	return h
 }
-
-// The heads decide an order on their own in two cases:
-//   - the first byte where they differ lies inside both encoded lengths;
-//   - the common bytes are equal and one head is whole and ends no later
-//     than the other: it encodes a column prefix of the other key, so the
-//     keys are equal when both are whole and equally long, and otherwise the
-//     whole one is shorter and first.
-//
-// Everything else (a tie on bytes where a Float or String column, or a value
-// cut short, follows) goes to sqlval.CompareRows.
 
 // headTie is headOrder's answer when the heads' common bytes are equal.
 const headTie = 2
@@ -127,8 +47,10 @@ func headOrder(a, b uint64) int {
 	return headTie
 }
 
-// tieOrder settles a pair of heads whose common bytes are equal. ok is false
-// when the heads cannot decide.
+// tieOrder settles a pair of heads whose common bytes are equal when one is
+// whole and ends no later than the other: its key is a byte prefix of the
+// other, so the keys are equal when both are whole and equally long, and
+// otherwise the whole one is shorter and first. ok is false otherwise.
 func tieOrder(a, b uint64) (c int, ok bool) {
 	la, lb := a&headLen, b&headLen
 	aw, bw := a&headWhole != 0, b&headWhole != 0
@@ -143,19 +65,27 @@ func tieOrder(a, b uint64) (c int, ok bool) {
 	return 0, false
 }
 
-// compare orders two keys given their heads, calling sqlval.CompareRows only
-// when the heads cannot decide.
-func compare(ha uint64, a Key, hb uint64, b Key) int {
+// compare orders two keys given their heads, reading the keys' bytes
+// (bytes.Compare) only when the heads cannot decide.
+func compare(ha uint64, a []byte, hb uint64, b []byte) int {
 	if c := headOrder(ha, hb); c != headTie {
 		return c
 	}
-	return compareTied(ha, a, hb, b)
-}
-
-// compareTied is compare's out-of-line half.
-func compareTied(ha uint64, a Key, hb uint64, b Key) int {
 	if c, ok := tieOrder(ha, hb); ok {
 		return c
 	}
-	return sqlval.CompareRows(a, b)
+	return bytes.Compare(a, b)
+}
+
+// hasPrefix reports whether key (head kh) begins with prefix (head ph). The
+// heads decide when they differ inside both held lengths (no) or when a
+// whole prefix head is covered by the key's (yes).
+func hasPrefix(kh uint64, key []byte, ph uint64, prefix []byte) bool {
+	if headOrder(kh, ph) != headTie {
+		return false
+	}
+	if ph&headWhole != 0 && ph&headLen <= kh&headLen {
+		return true
+	}
+	return bytes.HasPrefix(key, prefix)
 }

@@ -401,17 +401,18 @@ func (se *selectExec) emit() error {
 	p := se.p
 	env := &se.env
 	if se.grouped {
-		key := ""
+		env.keyBytes = env.keyBytes[:0]
 		if len(p.groupBy) > 0 {
 			kv, err := evalKeyInto(env.keyBuf, p.groupBy, env)
 			if err != nil {
 				return err
 			}
 			env.keyBuf = kv
-			key = sqlval.EncodeKey(kv)
+			env.keyBytes = sqlval.AppendKey(env.keyBytes, kv...)
 		}
-		g, ok := se.groups[key]
+		g, ok := se.groups[string(env.keyBytes)]
 		if !ok {
+			key := string(env.keyBytes)
 			g = newGroupState(p.aggs, env.Vals)
 			se.groups[key] = g
 			se.groupOrder = append(se.groupOrder, key)
@@ -427,14 +428,14 @@ func (se *selectExec) emit() error {
 		out[i] = v
 	}
 	if p.distinct {
-		k := sqlval.EncodeKey(out)
-		if se.seen[k] {
+		env.keyBytes = sqlval.AppendKey(env.keyBytes[:0], out...)
+		if se.seen[string(env.keyBytes)] {
 			// Rebate the carve: out never escaped, so the next row may
 			// reuse its arena space.
 			se.arena = se.arena[:len(se.arena)-len(out)]
 			return nil
 		}
-		se.seen[k] = true
+		se.seen[string(env.keyBytes)] = true
 	}
 	if len(p.orderBy) > 0 && !p.orderByOutput {
 		keys := make([]sqlval.Value, len(p.orderBy))
@@ -739,20 +740,16 @@ func entryMatches(lv *scanLevel, e storage.IndexEntry, vk verifyKind, data []sql
 // Table.Row.
 func scanAccess(lv *scanLevel, env *Env, sc *levelScratch, fast bool, process func(e storage.IndexEntry, vk verifyKind, row *storage.Row) bool) error {
 	switch lv.access.kind {
-	case accessPrimaryEq:
-		key, err := evalKeyInto(sc.key, lv.access.eq, env)
+	case accessPrimaryEq, accessPrimary, accessSecondary:
+		from, to, exact, err := scanBounds(&lv.access, env, sc)
 		if err != nil {
 			return err
 		}
-		sc.key = key
-		if id, ok := lv.tbl.PrimaryLookup(key); ok {
-			process(storage.IndexEntry{Key: key, ID: id}, verifyPrim, nil)
-		}
-		return nil
-	case accessPrimary, accessSecondary:
-		from, to, err := scanBounds(&lv.access, env, sc)
-		if err != nil {
-			return err
+		if lv.access.kind == accessPrimaryEq && exact {
+			if id, ok := lv.tbl.PrimaryLookup(from); ok {
+				process(storage.IndexEntry{Key: from, ID: id}, verifyPrim, nil)
+			}
+			return nil
 		}
 		scanRange(lv, sc, from, to, process)
 		return nil
@@ -806,12 +803,12 @@ const firstRangeChunk = 32
 // stops the scan early (process returns false) therefore materializes one
 // small chunk, not the whole range, while a long scan still takes few latch
 // holds.
-func scanRange(lv *scanLevel, sc *levelScratch, from, to []sqlval.Value, process func(e storage.IndexEntry, vk verifyKind, row *storage.Row) bool) {
+func scanRange(lv *scanLevel, sc *levelScratch, from, to []byte, process func(e storage.IndexEntry, vk verifyKind, row *storage.Row) bool) {
 	vk := verifyPrim
 	if lv.access.kind == accessSecondary {
 		vk = verifySec
 	}
-	var after []sqlval.Value
+	var after []byte
 	for chunk := firstRangeChunk; ; chunk = min(2*chunk, maxRetainedEntries) {
 		if vk == verifyPrim {
 			sc.entries = lv.tbl.AppendPrimaryRange(sc.entries[:0], from, to, after, lv.access.desc, chunk)
@@ -878,11 +875,11 @@ func (g *groupState) accumulate(aggs []aggCall, env *Env) error {
 			continue
 		}
 		if g.distinct[i] != nil {
-			k := sqlval.EncodeKey([]sqlval.Value{v})
-			if g.distinct[i][k] {
+			env.keyBytes = sqlval.AppendKey(env.keyBytes[:0], v)
+			if g.distinct[i][string(env.keyBytes)] {
 				continue
 			}
-			g.distinct[i][k] = true
+			g.distinct[i][string(env.keyBytes)] = true
 		}
 		g.counts[i]++
 		if g.sums[i].IsNull() {

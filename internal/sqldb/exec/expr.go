@@ -34,13 +34,16 @@ type Env struct {
 	scratch []levelScratch
 	// keyBuf is the reusable group-key evaluation buffer.
 	keyBuf []sqlval.Value
+	// keyBytes is the reusable hash-key buffer of GROUP BY, DISTINCT and
+	// COUNT(DISTINCT): values are hashed in their index-key encoding.
+	keyBytes []byte
 }
 
-// levelScratch is one scan level's reusable probe buffers.
+// levelScratch is one scan level's reusable probe buffers: the encoded
+// bounds (or point key) of its index access.
 type levelScratch struct {
-	key  []sqlval.Value
-	from []sqlval.Value
-	to   []sqlval.Value
+	from []byte
+	to   []byte
 	// entries is the range-scan batch buffer: index entries are materialized
 	// here under the index latch, then consumed latch-free. Reused across
 	// probes and executions; releaseEntries drops key references afterwards.

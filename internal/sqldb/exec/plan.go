@@ -48,6 +48,9 @@ type accessPath struct {
 	lo   EvalFn   // optional range lower bound on the next index column
 	hi   EvalFn   // optional range upper bound on the next index column
 	desc bool     // scan direction (used by order-by pushdown)
+	// kinds are the index columns' kinds, in index-column order: bound
+	// values are converted to them before they are encoded (scanBounds).
+	kinds []sqlval.Kind
 }
 
 // scanLevel is one table in the join pipeline.
@@ -313,6 +316,7 @@ func chooseAccess(lv *scanLevel, li int, schema *tupleSchema, conjs []conjunct) 
 		score int
 	}
 	best := candidate{path: accessPath{kind: accessSeq}, score: 0}
+	meta := lv.tbl.Meta
 	consider := func(idx *catalog.Index, kind accessKind, ord int) {
 		var eq []EvalFn
 		k := 0
@@ -323,7 +327,11 @@ func chooseAccess(lv *scanLevel, li int, schema *tupleSchema, conjs []conjunct) 
 			}
 			eq = append(eq, b.eq)
 		}
-		path := accessPath{kind: kind, ord: ord, eq: eq}
+		kinds := make([]sqlval.Kind, len(idx.Columns))
+		for i, c := range idx.Columns {
+			kinds[i] = meta.Columns[c].Kind
+		}
+		path := accessPath{kind: kind, ord: ord, eq: eq, kinds: kinds}
 		score := k * 4
 		if k == len(idx.Columns) && idx.Unique && k > 0 {
 			if kind == accessPrimary {
@@ -340,7 +348,6 @@ func chooseAccess(lv *scanLevel, li int, schema *tupleSchema, conjs []conjunct) 
 			best = candidate{path: path, score: score}
 		}
 	}
-	meta := lv.tbl.Meta
 	if len(meta.PKCols) > 0 {
 		consider(meta.Indexes[0], accessPrimary, 0)
 	}
@@ -365,38 +372,38 @@ func evalKeyInto(buf []sqlval.Value, fns []EvalFn, env *Env) ([]sqlval.Value, er
 	return buf, nil
 }
 
-// scanBounds builds tree bounds from the access path: eqPrefix [+lo] up to
-// eqPrefix [+hi] +Top. A bare prefix is an inclusive lower bound (shorter
-// composites sort before their extensions) and Top padding makes the upper
-// bound inclusive over longer physical keys. The bounds are written into the
-// level's scratch buffers; the btree range scans compare against them during
-// iteration but never retain them, and nested levels use their own scratch.
-func scanBounds(path *accessPath, env *Env, sc *levelScratch) (from, to []sqlval.Value, err error) {
+// scanBounds builds the encoded tree bounds of the access path into the
+// level's scratch: eqPrefix [+lo] up to eqPrefix [+hi] +Top. A bare prefix
+// is an inclusive lower bound (shorter composites sort before their
+// extensions) and the Top pad makes the upper bound inclusive over longer
+// physical keys. Each value is converted to its column's kind first
+// (sqlval.KeyBound). A value with no exact conversion widens the bounds to
+// the enclosing prefix — the equality values before it, or all of them for
+// a range bound — which is safe because the level's filter re-checks every
+// conjunct. exact reports that every equality value converted, so that from
+// is the whole equality key. The btree range scans compare against the
+// bounds during iteration but never retain them, and nested levels use
+// their own scratch.
+func scanBounds(path *accessPath, env *Env, sc *levelScratch) (from, to []byte, exact bool, err error) {
 	sc.from = sc.from[:0]
-	sc.to = sc.to[:0]
-	for _, fn := range path.eq {
-		v, err := fn(env)
-		if err != nil {
-			return nil, nil, err
+	exact = true
+	for i, fn := range path.eq {
+		if sc.from, exact, err = appendBound(sc.from, fn, path.kinds[i], exact, env); err != nil {
+			return nil, nil, false, err
 		}
-		sc.from = append(sc.from, v)
-		sc.to = append(sc.to, v)
 	}
+	sc.to = append(sc.to[:0], sc.from...)
 	if path.lo != nil {
-		v, err := path.lo(env)
-		if err != nil {
-			return nil, nil, err
+		if sc.from, _, err = appendBound(sc.from, path.lo, path.kinds[len(path.eq)], exact, env); err != nil {
+			return nil, nil, false, err
 		}
-		sc.from = append(sc.from, v)
 	}
 	if path.hi != nil {
-		v, err := path.hi(env)
-		if err != nil {
-			return nil, nil, err
+		if sc.to, _, err = appendBound(sc.to, path.hi, path.kinds[len(path.eq)], exact, env); err != nil {
+			return nil, nil, false, err
 		}
-		sc.to = append(sc.to, v)
 	}
-	sc.to = append(sc.to, sqlval.Top())
+	sc.to = sqlval.AppendKey(sc.to, sqlval.Top())
 	from, to = sc.from, sc.to
 	if len(from) == 0 {
 		from = nil
@@ -404,5 +411,21 @@ func scanBounds(path *accessPath, env *Env, sc *levelScratch) (from, to []sqlval
 	if len(to) == 1 {
 		to = nil // only the Top pad: open upper bound
 	}
-	return from, to, nil
+	return from, to, exact, nil
+}
+
+// appendBound evaluates one bound value and, when on and the value converts
+// exactly to the column's kind k, appends its encoding to dst; ok reports
+// that it did. The value is evaluated either way, so that its errors
+// surface as they would without the index.
+func appendBound(dst []byte, fn EvalFn, k sqlval.Kind, on bool, env *Env) (_ []byte, ok bool, err error) {
+	v, err := fn(env)
+	if err != nil || !on {
+		return dst, false, err
+	}
+	b, ok := sqlval.KeyBound(v, k)
+	if ok {
+		dst = sqlval.AppendKey(dst, b)
+	}
+	return dst, ok, nil
 }

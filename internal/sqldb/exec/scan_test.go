@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -40,7 +41,7 @@ func rangeTable(t *testing.T, n, groupSize int) *storage.Table {
 }
 
 // streamed collects everything scanRange hands out for one level.
-func streamed(lv *scanLevel, from, to []sqlval.Value) []storage.IndexEntry {
+func streamed(lv *scanLevel, from, to []byte) []storage.IndexEntry {
 	var sc levelScratch
 	var out []storage.IndexEntry
 	scanRange(lv, &sc, from, to, func(e storage.IndexEntry, _ verifyKind, _ *storage.Row) bool {
@@ -50,7 +51,7 @@ func streamed(lv *scanLevel, from, to []sqlval.Value) []storage.IndexEntry {
 	return out
 }
 
-func oneShot(lv *scanLevel, from, to []sqlval.Value) []storage.IndexEntry {
+func oneShot(lv *scanLevel, from, to []byte) []storage.IndexEntry {
 	if lv.access.kind == accessPrimary {
 		return lv.tbl.AppendPrimaryRange(nil, from, to, nil, lv.access.desc, 0)
 	}
@@ -63,7 +64,7 @@ func sameEntries(t *testing.T, what string, got, want []storage.IndexEntry) {
 		t.Fatalf("%s: streamed %d entries, one-shot %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if got[i].ID != want[i].ID || sqlval.CompareRows(got[i].Key, want[i].Key) != 0 {
+		if got[i].ID != want[i].ID || !bytes.Equal(got[i].Key, want[i].Key) {
 			t.Fatalf("%s: entry %d streamed %v/%d, one-shot %v/%d", what, i, got[i].Key, got[i].ID, want[i].Key, want[i].ID)
 		}
 	}
@@ -77,11 +78,11 @@ func sameEntries(t *testing.T, what string, got, want []storage.IndexEntry) {
 func TestScanRangeChunksMatchOneShot(t *testing.T) {
 	const n = 5000
 	tbl := rangeTable(t, n, 7)
-	top := sqlval.Top()
-	int64s := func(vs ...int64) []sqlval.Value {
-		out := make([]sqlval.Value, len(vs))
-		for i, v := range vs {
-			out[i] = sqlval.NewInt(v)
+	top := sqlval.AppendKey(nil, sqlval.Top())
+	int64s := func(vs ...int64) []byte {
+		var out []byte
+		for _, v := range vs {
+			out = sqlval.AppendKey(out, sqlval.NewInt(v))
 		}
 		return out
 	}
@@ -91,12 +92,12 @@ func TestScanRangeChunksMatchOneShot(t *testing.T) {
 		cases := []struct {
 			name     string
 			lv       *scanLevel
-			from, to []sqlval.Value
+			from, to []byte
 		}{
 			{"primary/open", prim, nil, nil},
 			{"secondary/open", sec, nil, nil},
-			{"secondary/one-group", sec, int64s(3), append(int64s(3), top)},
-			{"secondary/top-bound", sec, nil, append(int64s(40), top)},
+			{"secondary/one-group", sec, int64s(3), append(int64s(3), top...)},
+			{"secondary/top-bound", sec, nil, append(int64s(40), top...)},
 			{"secondary/prefix-from", sec, int64s(600), nil},
 		}
 		// Primary ranges whose sizes sit on and around the chunk edges.
@@ -104,7 +105,7 @@ func TestScanRangeChunksMatchOneShot(t *testing.T) {
 			cases = append(cases, struct {
 				name     string
 				lv       *scanLevel
-				from, to []sqlval.Value
+				from, to []byte
 			}{"primary/size", prim, int64s(100), int64s(100 + size - 1)})
 		}
 		// Secondary ranges ending inside a run of ties at a chunk edge.
@@ -112,8 +113,8 @@ func TestScanRangeChunksMatchOneShot(t *testing.T) {
 			cases = append(cases, struct {
 				name     string
 				lv       *scanLevel
-				from, to []sqlval.Value
-			}{"secondary/ties", sec, int64s(10), append(int64s(10+groups), top)})
+				from, to []byte
+			}{"secondary/ties", sec, int64s(10), append(int64s(10+groups), top...)})
 		}
 		for _, c := range cases {
 			want := oneShot(c.lv, c.from, c.to)
@@ -211,7 +212,7 @@ func TestScanRangeUnderChurn(t *testing.T) {
 			stableSeen := 0
 			for j, e := range got {
 				if j > 0 {
-					c := sqlval.CompareRows(got[j-1].Key, e.Key)
+					c := bytes.Compare(got[j-1].Key, e.Key)
 					if (!desc && c >= 0) || (desc && c <= 0) {
 						t.Fatalf("access %d desc=%v: key %v follows %v", lv.access.kind, desc, e.Key, got[j-1].Key)
 					}

@@ -319,7 +319,7 @@ func TestRowImageOneAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(7)})
+	id, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(7)))
 	if !ok {
 		t.Fatal("inserted row not found")
 	}

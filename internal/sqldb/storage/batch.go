@@ -1,8 +1,9 @@
 package storage
 
 import (
+	"bytes"
+
 	"benchpress/internal/btree"
-	"benchpress/internal/sqlval"
 )
 
 // BatchSize is the number of rows a batched scan hands to the executor at a
@@ -54,17 +55,18 @@ func (t *Table) ScanBatch(g int, cursor int64, b *RowBatch) int64 {
 
 // AppendPrimaryRange materializes the index entries with from <= pk <= to
 // into buf (reusing its capacity) and returns the extended slice, in key
-// order, or reversed when desc is set. Nil bounds are open; bounds may be
-// key prefixes padded with sqlval.Top() to form inclusive upper bounds.
+// order, or reversed when desc is set. Bounds are encoded keys
+// (sqlval.AppendKey); nil bounds are open, and bounds may be key prefixes
+// padded with sqlval.Top() to form inclusive upper bounds.
 //
 // max > 0 stops after max entries, and a non-nil after resumes the scan
 // strictly past that key in scan order, so a caller streams a long range in
 // chunks by passing the last key of the previous chunk: keys are unique per
-// tree, and an entry's key slice is immutable, so it stays a valid cursor
-// after the latch is released. Entries are collected under the index read
-// latch and the latch is released before return, so callers may freely
-// re-enter the table while consuming a chunk.
-func (t *Table) AppendPrimaryRange(buf []IndexEntry, from, to, after []sqlval.Value, desc bool, max int) []IndexEntry {
+// tree, and an entry's key is the tree's immutable copy, so it stays a
+// valid cursor after the latch is released. Entries are collected under the
+// index read latch and the latch is released before return, so callers may
+// freely re-enter the table while consuming a chunk.
+func (t *Table) AppendPrimaryRange(buf []IndexEntry, from, to, after []byte, desc bool, max int) []IndexEntry {
 	if t.primary == nil {
 		return buf
 	}
@@ -75,18 +77,18 @@ func (t *Table) AppendPrimaryRange(buf []IndexEntry, from, to, after []sqlval.Va
 // physical keys (indexed columns plus a trailing row id). Callers build
 // prefix bounds directly: a bare prefix is an inclusive lower bound, and a
 // prefix extended with sqlval.Top() is an inclusive upper bound.
-func (t *Table) AppendSecondaryRange(buf []IndexEntry, ord int, from, to, after []sqlval.Value, desc bool, max int) []IndexEntry {
+func (t *Table) AppendSecondaryRange(buf []IndexEntry, ord int, from, to, after []byte, desc bool, max int) []IndexEntry {
 	return appendRange(t.secondaryList()[ord].tree, buf, from, to, after, desc, max)
 }
 
 // appendRange is the one range walk behind both Append*Range entry points.
-func appendRange(tree *btree.Latched, buf []IndexEntry, from, to, after []sqlval.Value, desc bool, max int) []IndexEntry {
+func appendRange(tree *btree.Latched, buf []IndexEntry, from, to, after []byte, desc bool, max int) []IndexEntry {
 	start := len(buf)
 	skip := after != nil // the walk starts at after itself if it is still there
-	collect := func(key []sqlval.Value, id int64) bool {
+	collect := func(key []byte, id int64) bool {
 		if skip {
 			skip = false
-			if sqlval.CompareRows(key, after) == 0 {
+			if bytes.Equal(key, after) {
 				return true
 			}
 		}

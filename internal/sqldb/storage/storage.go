@@ -6,10 +6,11 @@
 // Readers decode it into their own scratch (Version.DecodeInto) or read one
 // column (Version.Col); decoded text aliases the record. The aliasing rule:
 // nothing the engine retains may hold a substring of a record, or it would
-// keep the whole superseded image alive — index keys, which are decoded from
-// records, have their text cloned when a tree stores them (insertEntry).
-// Result rows handed to callers may alias records: records never change and
-// the garbage collector bounds their lifetime.
+// keep the whole superseded image alive. Index keys cannot: a key is the
+// byte encoding of the indexed columns (sqlval.AppendKey), built in scratch
+// and copied into the tree's node arenas. Result rows handed to callers may
+// alias records: records never change and the garbage collector bounds
+// their lifetime.
 //
 // A version carries begin/end timestamps in the Hekaton style: values below
 // txnMark are commit timestamps; values with the high bit set identify the
@@ -52,6 +53,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -298,9 +300,10 @@ func (t *Table) AddIndex(idx *catalog.Index) {
 		if v == nil {
 			return true
 		}
-		key := indexKey(idx, v, id)
+		var buf [keyScratch]byte
+		key := indexKey(buf[:0], idx, v, id)
 		sec.tree.Lock()
-		insertEntry(&sec.tree.Tree, key, id)
+		sec.tree.Insert(key, id)
 		sec.tree.Unlock()
 		return true
 	})
@@ -319,14 +322,22 @@ func (t *Table) BumpAutoInc(v int64) {
 	}
 }
 
-// pkKey extracts the primary-key composite from a row image. Its text
-// aliases the record.
-func (t *Table) pkKey(v *Version) []sqlval.Value {
-	key := make([]sqlval.Value, len(t.Meta.PKCols))
-	for i, c := range t.Meta.PKCols {
-		key[i] = v.Col(c)
+// keyScratch is the size of the stack buffers index keys are encoded into;
+// a longer key spills to the heap.
+const keyScratch = 64
+
+// pkKey appends the primary key of image v, encoded (sqlval.AppendKey), to
+// dst.
+func (t *Table) pkKey(dst []byte, v *Version) []byte {
+	return colsKey(dst, t.Meta.PKCols, v)
+}
+
+// colsKey appends the encoding of image v's columns cols to dst.
+func colsKey(dst []byte, cols []int, v *Version) []byte {
+	for _, c := range cols {
+		dst = sqlval.AppendKey(dst, v.Col(c))
 	}
-	return key
+	return dst
 }
 
 // samePK reports whether two images of a row carry the same primary key.
@@ -339,26 +350,10 @@ func (t *Table) samePK(a, b *Version) bool {
 	return true
 }
 
-// indexKey builds a physical secondary-index key: the indexed columns plus
-// the row id to keep physical keys unique. Its text aliases the record.
-func indexKey(idx *catalog.Index, v *Version, id RowID) []sqlval.Value {
-	key := make([]sqlval.Value, 0, len(idx.Columns)+1)
-	for _, c := range idx.Columns {
-		key = append(key, v.Col(c))
-	}
-	return append(key, sqlval.NewInt(id))
-}
-
-// insertEntry stores key -> id in tree, whose latch the caller holds
-// exclusively. Keys are decoded from records, and a stored key aliasing one
-// would keep the whole record alive for as long as the entry (or a separator
-// sharing its backing array) lives, so a key the tree stores anew has its
-// text cloned in place — before the latch is released, so no reader has seen
-// it yet. A key already present keeps its stored, already private, copy.
-func insertEntry(tree *btree.Tree, key []sqlval.Value, id RowID) {
-	if tree.Insert(key, id) {
-		sqlval.CloneStrings(key)
-	}
+// indexKey appends a physical secondary-index key to dst: the indexed
+// columns of image v plus the row id, which keeps physical keys unique.
+func indexKey(dst []byte, idx *catalog.Index, v *Version, id RowID) []byte {
+	return sqlval.AppendKey(colsKey(dst, idx.Columns, v), sqlval.NewInt(id))
 }
 
 // ErrDuplicateKey is returned when an insert violates the primary key or a
@@ -392,7 +387,7 @@ func liveOrPending(r *Row) bool {
 // primaryConflict reports whether the primary index maps key to a different
 // row that is live or pending and still carries key. Callers hold the
 // primary latch; row state is read through atomics only.
-func (t *Table) primaryConflict(key []sqlval.Value, self RowID) bool {
+func (t *Table) primaryConflict(key []byte, self RowID) bool {
 	existing, ok := t.primary.Get(key)
 	if !ok || existing == self {
 		return false
@@ -402,27 +397,30 @@ func (t *Table) primaryConflict(key []sqlval.Value, self RowID) bool {
 }
 
 // carriesPK reports whether image v carries primary key key.
-func (t *Table) carriesPK(v *Version, key []sqlval.Value) bool {
-	for i, c := range t.Meta.PKCols {
-		if sqlval.Compare(v.Col(c), key[i]) != 0 {
-			return false
-		}
-	}
-	return true
+func (t *Table) carriesPK(v *Version, key []byte) bool {
+	var buf [keyScratch]byte
+	return bytes.Equal(t.pkKey(buf[:0], v), key)
 }
 
 // secondaryConflict reports whether a unique secondary index already holds a
-// live row with the same indexed column values. Callers hold sec's latch.
-// An index entry only blocks the insert when the row it points at is live
-// (or pending) AND its newest image still holds the conflicting key: stale
-// entries left behind by updates of indexed columns are ignored.
+// live row with the same indexed column values as image v. Callers hold
+// sec's latch. A NULL never equals another, so a key with a NULL column
+// conflicts with nothing: any number of rows may hold it. An index entry
+// only blocks the insert when the row it points at is live (or pending) AND
+// its newest image still holds the conflicting key: stale entries left
+// behind by updates of indexed columns are ignored.
 func (t *Table) secondaryConflict(sec secondaryIndex, v *Version, self RowID) bool {
-	prefix := make([]sqlval.Value, 0, len(sec.meta.Columns))
+	var pb, lb [keyScratch]byte
+	prefix := pb[:0]
 	for _, c := range sec.meta.Columns {
-		prefix = append(prefix, v.Col(c))
+		val := v.Col(c)
+		if val.IsNull() {
+			return false
+		}
+		prefix = sqlval.AppendKey(prefix, val)
 	}
 	dup := false
-	sec.tree.AscendPrefix(prefix, func(_ []sqlval.Value, id int64) bool {
+	sec.tree.AscendPrefix(prefix, func(_ []byte, id int64) bool {
 		if id == self {
 			return true
 		}
@@ -430,11 +428,8 @@ func (t *Table) secondaryConflict(sec secondaryIndex, v *Version, self RowID) bo
 		if !ok || !liveOrPending(r) {
 			return true
 		}
-		latest := r.Latest()
-		for ci, c := range sec.meta.Columns {
-			if sqlval.Compare(latest.Col(c), prefix[ci]) != 0 {
-				return true // stale entry: the row moved off this key
-			}
+		if !bytes.Equal(colsKey(lb[:0], sec.meta.Columns, r.Latest()), prefix) {
+			return true // stale entry: the row moved off this key
 		}
 		dup = true
 		return false
@@ -473,7 +468,8 @@ func (t *Table) Insert(txnID uint64, rec heap.Record) (RowID, *Row, Displaced, e
 
 	var disp Displaced
 	if t.primary != nil {
-		key := t.pkKey(v)
+		var buf [keyScratch]byte
+		key := t.pkKey(buf[:0], v)
 		t.primary.Lock()
 		if t.primaryConflict(key, id) {
 			t.primary.Unlock()
@@ -483,12 +479,13 @@ func (t *Table) Insert(txnID uint64, rec heap.Record) (RowID, *Row, Displaced, e
 		if prev, ok := t.primary.Get(key); ok && prev != id {
 			disp = Displaced{Prev: prev, HadPrev: true}
 		}
-		insertEntry(&t.primary.Tree, key, id)
+		t.primary.Insert(key, id)
 		t.primary.Unlock()
 	}
 	for ord := range secs {
 		sec := secs[ord]
-		key := indexKey(sec.meta, v, id)
+		var buf [keyScratch]byte
+		key := indexKey(buf[:0], sec.meta, v, id)
 		sec.tree.Lock()
 		if sec.meta.Unique && t.secondaryConflict(sec, v, id) {
 			sec.tree.Unlock()
@@ -497,7 +494,7 @@ func (t *Table) Insert(txnID uint64, rec heap.Record) (RowID, *Row, Displaced, e
 			t.RollbackInsert(id, v, disp)
 			return 0, nil, Displaced{}, &ErrDuplicateKey{Table: t.Meta.Name, Index: sec.meta.Name}
 		}
-		insertEntry(&sec.tree.Tree, key, id)
+		sec.tree.Insert(key, id)
 		sec.tree.Unlock()
 	}
 	return id, row, disp, nil
@@ -507,8 +504,9 @@ func (t *Table) Insert(txnID uint64, rec heap.Record) (RowID, *Row, Displaced, e
 // Secondary keys carry the row id, so an entry can never be claimed by
 // another row and an unconditional delete is safe.
 func (t *Table) removeSecondaryEntries(id RowID, v *Version) {
+	var buf [keyScratch]byte
 	for _, sec := range t.secondaryList() {
-		key := indexKey(sec.meta, v, id)
+		key := indexKey(buf[:0], sec.meta, v, id)
 		sec.tree.Lock()
 		sec.tree.Delete(key)
 		sec.tree.Unlock()
@@ -525,7 +523,8 @@ func (t *Table) removeSecondaryEntries(id RowID, v *Version) {
 // against the entry key, and the next insert of the key overwrites it.
 func (t *Table) RollbackInsert(id RowID, v *Version, disp Displaced) {
 	if t.primary != nil {
-		key := t.pkKey(v)
+		var buf [keyScratch]byte
+		key := t.pkKey(buf[:0], v)
 		t.primary.Lock()
 		// Only touch the entry if it still points at this row: a
 		// concurrent re-insert of the same key may have replaced it.
@@ -566,25 +565,26 @@ func (t *Table) RollbackInsert(id RowID, v *Version, disp Displaced) {
 // leaves the primary index alone: the old image's entry already maps the
 // key to this row, and no insert can take the key of a live row.
 func (t *Table) AddVersionIndexEntries(id RowID, old, v *Version) error {
+	var buf, oldBuf [keyScratch]byte
 	if t.primary != nil && !t.samePK(old, v) {
-		key := t.pkKey(v)
+		key := t.pkKey(buf[:0], v)
 		t.primary.Lock()
-		insertEntry(&t.primary.Tree, key, id)
+		t.primary.Insert(key, id)
 		t.primary.Unlock()
 	}
 	secs := t.secondaryList()
 	for ord := range secs {
 		sec := secs[ord]
-		key := indexKey(sec.meta, v, id)
+		key := indexKey(buf[:0], sec.meta, v, id)
 		sec.tree.Lock()
 		if sec.meta.Unique &&
-			sqlval.CompareRows(indexKey(sec.meta, old, id), key) != 0 &&
+			!bytes.Equal(indexKey(oldBuf[:0], sec.meta, old, id), key) &&
 			t.secondaryConflict(sec, v, id) {
 			sec.tree.Unlock()
 			t.unwindVersionEntries(id, old, v, ord)
 			return &ErrDuplicateKey{Table: t.Meta.Name, Index: sec.meta.Name}
 		}
-		insertEntry(&sec.tree.Tree, key, id)
+		sec.tree.Insert(key, id)
 		sec.tree.Unlock()
 	}
 	return nil
@@ -594,9 +594,10 @@ func (t *Table) AddVersionIndexEntries(id RowID, old, v *Version) error {
 // for the new image before failing at secondary ordinal stop — only those
 // not shared with the old image, which must keep its entries.
 func (t *Table) unwindVersionEntries(id RowID, old, v *Version, stop int) {
+	var buf, oldBuf [keyScratch]byte
 	if t.primary != nil {
-		newKey, oldKey := t.pkKey(v), t.pkKey(old)
-		if sqlval.CompareRows(newKey, oldKey) != 0 {
+		newKey, oldKey := t.pkKey(buf[:0], v), t.pkKey(oldBuf[:0], old)
+		if !bytes.Equal(newKey, oldKey) {
 			t.primary.Lock()
 			if cur, ok := t.primary.Get(newKey); ok && cur == id {
 				t.primary.Delete(newKey)
@@ -607,8 +608,8 @@ func (t *Table) unwindVersionEntries(id RowID, old, v *Version, stop int) {
 	secs := t.secondaryList()
 	for ord := 0; ord < stop && ord < len(secs); ord++ {
 		sec := secs[ord]
-		newKey := indexKey(sec.meta, v, id)
-		if sqlval.CompareRows(indexKey(sec.meta, old, id), newKey) == 0 {
+		newKey := indexKey(buf[:0], sec.meta, v, id)
+		if bytes.Equal(indexKey(oldBuf[:0], sec.meta, old, id), newKey) {
 			continue
 		}
 		sec.tree.Lock()
@@ -621,8 +622,9 @@ func (t *Table) unwindVersionEntries(id RowID, old, v *Version, stop int) {
 // given version image (used on rollback of an update whose keys changed, with
 // keep holding the image whose entries must survive).
 func (t *Table) RemoveVersionIndexEntries(id RowID, v, keep *Version) {
+	var buf, keepBuf [keyScratch]byte
 	if t.primary != nil && !t.samePK(v, keep) {
-		oldKey := t.pkKey(v)
+		oldKey := t.pkKey(buf[:0], v)
 		t.primary.Lock()
 		if cur, ok := t.primary.Get(oldKey); ok && cur == id {
 			t.primary.Delete(oldKey)
@@ -630,9 +632,9 @@ func (t *Table) RemoveVersionIndexEntries(id RowID, v, keep *Version) {
 		t.primary.Unlock()
 	}
 	for _, sec := range t.secondaryList() {
-		oldKey := indexKey(sec.meta, v, id)
-		keepKey := indexKey(sec.meta, keep, id)
-		if sqlval.CompareRows(oldKey, keepKey) != 0 {
+		oldKey := indexKey(buf[:0], sec.meta, v, id)
+		keepKey := indexKey(keepBuf[:0], sec.meta, keep, id)
+		if !bytes.Equal(oldKey, keepKey) {
 			sec.tree.Lock()
 			sec.tree.Delete(oldKey)
 			sec.tree.Unlock()
@@ -640,8 +642,9 @@ func (t *Table) RemoveVersionIndexEntries(id RowID, v, keep *Version) {
 	}
 }
 
-// PrimaryLookup finds the row id for an exact primary-key match.
-func (t *Table) PrimaryLookup(key []sqlval.Value) (RowID, bool) {
+// PrimaryLookup finds the row id for an exact primary-key match; key is the
+// encoded primary key (sqlval.AppendKey of its columns).
+func (t *Table) PrimaryLookup(key []byte) (RowID, bool) {
 	if t.primary == nil {
 		return 0, false
 	}
@@ -651,13 +654,15 @@ func (t *Table) PrimaryLookup(key []sqlval.Value) (RowID, bool) {
 	return id, ok
 }
 
-// IndexEntry is one materialized index hit: the physical key and the row id
-// it points at. Because updates add entries for every version image, a row
-// can appear under several keys of one index; readers must verify the entry
-// key against the version they actually see (VerifyPrimary/VerifySecondary)
-// or they would observe duplicates.
+// IndexEntry is one materialized index hit: the physical key, encoded, and
+// the row id it points at. Because updates add entries for every version
+// image, a row can appear under several keys of one index; readers must
+// verify the entry key against the version they actually see
+// (VerifyPrimary/VerifySecondary) or they would observe duplicates. Key is
+// the tree's own copy: it stays valid and unchanged after the index latch is
+// released (btree keys), and it never aliases a row record.
 type IndexEntry struct {
-	Key []sqlval.Value
+	Key []byte
 	ID  RowID
 }
 
@@ -666,7 +671,7 @@ type IndexEntry struct {
 // sqlval.Top() to form inclusive upper bounds. Entries are materialized
 // under the index latch and the callback runs after its release, so
 // callbacks may freely re-enter the table (reads, lock acquisition).
-func (t *Table) ScanPrimaryRange(from, to []sqlval.Value, desc bool, fn func(e IndexEntry) bool) {
+func (t *Table) ScanPrimaryRange(from, to []byte, desc bool, fn func(e IndexEntry) bool) {
 	for _, e := range t.AppendPrimaryRange(make([]IndexEntry, 0, 16), from, to, nil, desc, 0) {
 		if !fn(e) {
 			return
@@ -675,34 +680,34 @@ func (t *Table) ScanPrimaryRange(from, to []sqlval.Value, desc bool, fn func(e I
 }
 
 // VerifyPrimary reports whether a row image still carries the primary key of
-// the index entry that produced it. It compares column by column rather than
-// materializing a key slice: this runs once per row on every index read.
+// the index entry that produced it. It encodes and compares column by
+// column rather than building a key: this runs once per row on every index
+// read.
 func (t *Table) VerifyPrimary(e IndexEntry, data []sqlval.Value) bool {
-	if len(e.Key) != len(t.Meta.PKCols) {
-		return false
-	}
-	for i, c := range t.Meta.PKCols {
-		if sqlval.Compare(data[c], e.Key[i]) != 0 {
-			return false
-		}
-	}
-	return true
+	rest, ok := cutCols(e.Key, t.Meta.PKCols, data)
+	return ok && len(rest) == 0
 }
 
 // VerifySecondary reports whether a row image still carries the indexed
 // column values of the secondary-index entry that produced it (the entry's
 // trailing row id is ignored).
 func (t *Table) VerifySecondary(ord int, e IndexEntry, data []sqlval.Value) bool {
-	idx := t.secondaryList()[ord].meta
-	for i, c := range idx.Columns {
-		if i >= len(e.Key) {
-			return false
+	_, ok := cutCols(e.Key, t.secondaryList()[ord].meta.Columns, data)
+	return ok
+}
+
+// cutCols reports whether key begins with the encoding of data's columns
+// cols, and returns the rest of key.
+func cutCols(key []byte, cols []int, data []sqlval.Value) ([]byte, bool) {
+	var buf [keyScratch]byte
+	for _, c := range cols {
+		enc := sqlval.AppendKey(buf[:0], data[c])
+		if !bytes.HasPrefix(key, enc) {
+			return nil, false
 		}
-		if sqlval.Compare(data[c], e.Key[i]) != 0 {
-			return false
-		}
+		key = key[len(enc):]
 	}
-	return true
+	return key, true
 }
 
 // SecondaryIndexes exposes the table's secondary index metadata, in ordinal
@@ -718,11 +723,11 @@ func (t *Table) SecondaryIndexes() []*catalog.Index {
 
 // ScanSecondaryRange iterates index entries with from <= key <= to over
 // physical secondary-index keys (indexed columns plus a trailing row id).
-// Callers build prefix bounds directly: a bare prefix is an inclusive lower
-// bound, and a prefix extended with sqlval.Top() is an inclusive upper
-// bound. The same materialize-then-callback discipline as ScanPrimaryRange
+// Callers build encoded prefix bounds directly: a bare prefix is an
+// inclusive lower bound, and a prefix extended with sqlval.Top() is an
+// inclusive upper bound. The same materialize-then-callback discipline as ScanPrimaryRange
 // applies.
-func (t *Table) ScanSecondaryRange(ord int, from, to []sqlval.Value, desc bool, fn func(e IndexEntry) bool) {
+func (t *Table) ScanSecondaryRange(ord int, from, to []byte, desc bool, fn func(e IndexEntry) bool) {
 	for _, e := range t.AppendSecondaryRange(make([]IndexEntry, 0, 16), ord, from, to, nil, desc, 0) {
 		if !fn(e) {
 			return

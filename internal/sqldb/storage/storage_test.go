@@ -43,11 +43,11 @@ func TestInsertAndPrimaryLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitVersion(r, 5)
-	got, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(1)})
+	got, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(1)))
 	if !ok || got != id {
 		t.Fatalf("lookup = %d,%v", got, ok)
 	}
-	if _, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(2)}); ok {
+	if _, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(2))); ok {
 		t.Fatal("phantom lookup")
 	}
 }
@@ -77,8 +77,8 @@ func TestSecondaryIndexBackfillAndScan(t *testing.T) {
 	tbl.AddIndex(idx)
 
 	var ids []RowID
-	prefix := []sqlval.Value{sqlval.NewInt(2)}
-	hi := []sqlval.Value{sqlval.NewInt(2), sqlval.Top()}
+	prefix := sqlval.AppendKey(nil, sqlval.NewInt(2))
+	hi := sqlval.AppendKey(nil, sqlval.NewInt(2), sqlval.Top())
 	tbl.ScanSecondaryRange(0, prefix, hi, false, func(e IndexEntry) bool {
 		ids = append(ids, e.ID)
 		return true
@@ -101,7 +101,7 @@ func TestSecondaryRangeScan(t *testing.T) {
 		commitVersion(r, 2)
 	}
 	var n int
-	tbl.ScanSecondaryRange(0, []sqlval.Value{sqlval.NewInt(10)}, []sqlval.Value{sqlval.NewInt(19), sqlval.Top()}, false, func(e IndexEntry) bool {
+	tbl.ScanSecondaryRange(0, sqlval.AppendKey(nil, sqlval.NewInt(10)), sqlval.AppendKey(nil, sqlval.NewInt(19), sqlval.Top()), false, func(e IndexEntry) bool {
 		n++
 		return true
 	})
@@ -109,7 +109,7 @@ func TestSecondaryRangeScan(t *testing.T) {
 		t.Fatalf("range scan found %d, want 10", n)
 	}
 	n = 0
-	tbl.ScanSecondaryRange(0, []sqlval.Value{sqlval.NewInt(25)}, nil, false, func(e IndexEntry) bool {
+	tbl.ScanSecondaryRange(0, sqlval.AppendKey(nil, sqlval.NewInt(25)), nil, false, func(e IndexEntry) bool {
 		n++
 		return true
 	})
@@ -118,7 +118,7 @@ func TestSecondaryRangeScan(t *testing.T) {
 	}
 	// Descending with an upper bound.
 	var got []RowID
-	tbl.ScanSecondaryRange(0, nil, []sqlval.Value{sqlval.NewInt(5), sqlval.Top()}, true, func(e IndexEntry) bool {
+	tbl.ScanSecondaryRange(0, nil, sqlval.AppendKey(nil, sqlval.NewInt(5), sqlval.Top()), true, func(e IndexEntry) bool {
 		got = append(got, e.ID)
 		return true
 	})
@@ -134,11 +134,11 @@ func TestPrimaryRangeScan(t *testing.T) {
 		commitVersion(r, 2)
 	}
 	var asc, desc []RowID
-	tbl.ScanPrimaryRange([]sqlval.Value{sqlval.NewInt(3)}, []sqlval.Value{sqlval.NewInt(6)}, false, func(e IndexEntry) bool {
+	tbl.ScanPrimaryRange(sqlval.AppendKey(nil, sqlval.NewInt(3)), sqlval.AppendKey(nil, sqlval.NewInt(6)), false, func(e IndexEntry) bool {
 		asc = append(asc, e.ID)
 		return true
 	})
-	tbl.ScanPrimaryRange([]sqlval.Value{sqlval.NewInt(3)}, []sqlval.Value{sqlval.NewInt(6)}, true, func(e IndexEntry) bool {
+	tbl.ScanPrimaryRange(sqlval.AppendKey(nil, sqlval.NewInt(3)), sqlval.AppendKey(nil, sqlval.NewInt(6)), true, func(e IndexEntry) bool {
 		desc = append(desc, e.ID)
 		return true
 	})
@@ -225,7 +225,7 @@ func TestTruncate(t *testing.T) {
 	if tbl.RowCount() != 0 {
 		t.Fatalf("RowCount = %d after truncate", tbl.RowCount())
 	}
-	if _, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)}); ok {
+	if _, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0))); ok {
 		t.Fatal("index survived truncate")
 	}
 	// Table must be reusable.

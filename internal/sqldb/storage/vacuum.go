@@ -135,11 +135,12 @@ func (t *Table) Reclaim(cands []Candidate, horizon, now uint64) VacuumStats {
 	// Unlink index entries in one latch hold per index. The primary entry
 	// is guarded (a concurrent re-insert of the key may own it now); the
 	// secondary keys carry the row id, so unconditional deletes are safe.
+	var buf [keyScratch]byte
 	if t.primary != nil {
 		t.primary.Lock()
 		for _, c := range dead {
 			for img := c.Row.Latest(); img != nil; img = img.Next() {
-				key := t.pkKey(img)
+				key := t.pkKey(buf[:0], img)
 				if cur, ok := t.primary.Get(key); ok && cur == c.ID {
 					t.primary.Delete(key)
 				}
@@ -151,7 +152,7 @@ func (t *Table) Reclaim(cands []Candidate, horizon, now uint64) VacuumStats {
 		sec.tree.Lock()
 		for _, c := range dead {
 			for img := c.Row.Latest(); img != nil; img = img.Next() {
-				sec.tree.Delete(indexKey(sec.meta, img, c.ID))
+				sec.tree.Delete(indexKey(buf[:0], sec.meta, img, c.ID))
 			}
 		}
 		sec.tree.Unlock()

@@ -15,7 +15,7 @@ import (
 func bumpClock(t *testing.T, m *Manager, tbl *storage.Table, id int64) {
 	t.Helper()
 	tx := m.Begin(false)
-	rid, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(id)})
+	rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(id)))
 	if !ok {
 		t.Fatalf("bump row %d missing", id)
 	}
@@ -45,7 +45,7 @@ func TestEpochReclamationGatesRecycling(t *testing.T) {
 	// Delete the first `dead` rows and commit, so they are committed-dead.
 	tx := m.Begin(false)
 	for id := int64(0); id < dead; id++ {
-		rid, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(id)})
+		rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(id)))
 		if !ok {
 			t.Fatalf("row %d missing", id)
 		}
@@ -169,7 +169,7 @@ func TestEpochReclamationStress(t *testing.T) {
 					continue
 				}
 				tx = m.Begin(false)
-				if rid, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(key)}); ok {
+				if rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(key))); ok {
 					if tx.Delete(tbl, rid) == nil && tx.Commit() == nil {
 						continue
 					}
@@ -186,7 +186,7 @@ func TestEpochReclamationStress(t *testing.T) {
 			for !stop.Load() {
 				tx := m.Begin(true)
 				for key := int64(0); key < epochChurnSpan; key++ {
-					rid, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(key)})
+					rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(key)))
 					if !ok {
 						continue
 					}
@@ -198,7 +198,7 @@ func TestEpochReclamationStress(t *testing.T) {
 						// A stale index entry must be filtered by the key
 						// check, never surfaced: this is the read
 						// discipline the reclamation scheme preserves.
-						if tbl.VerifyPrimary(storage.IndexEntry{Key: []sqlval.Value{sqlval.NewInt(key)}, ID: rid}, data.DecodeInto(nil)) {
+						if tbl.VerifyPrimary(storage.IndexEntry{Key: sqlval.AppendKey(nil, sqlval.NewInt(key)), ID: rid}, data.DecodeInto(nil)) {
 							t.Errorf("primary entry for key %d verified against row with key %v", key, data.Col(0))
 						}
 						continue

@@ -110,7 +110,7 @@ func stressOneTable(t *testing.T, mode Mode) {
 					continue
 				}
 				tx = m.Begin(false)
-				if rid, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(id)}); ok {
+				if rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(id))); ok {
 					if tx.Delete(tbl, rid) == nil {
 						tx.Commit()
 						continue
@@ -129,7 +129,7 @@ func stressOneTable(t *testing.T, mode Mode) {
 			tx := m.Begin(true)
 			sum, complete := int64(0), true
 			for id := int64(0); id < stressAccounts; id++ {
-				rid, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(id)})
+				rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(id)))
 				if !ok {
 					complete = false
 					break
@@ -158,7 +158,7 @@ func stressOneTable(t *testing.T, mode Mode) {
 				if err != nil || data == nil {
 					return true // invisible or lost a wait-die race
 				}
-				pk := []sqlval.Value{data.Col(0)}
+				pk := sqlval.AppendKey(nil, data.Col(0))
 				rid, ok := tbl.PrimaryLookup(pk)
 				if !ok {
 					t.Errorf("visible row %d (pk %v) missing from primary index", id, data.Col(0))
@@ -207,7 +207,7 @@ func verifyStress(t *testing.T, m *Manager, tbl *storage.Table) {
 	// Drain every churn row so only the fixed accounts remain live.
 	tx := m.Begin(false)
 	for id := stressChurnLo; id < stressChurnLo+stressChurnSpan; id++ {
-		if rid, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(int64(id))}); ok {
+		if rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(int64(id)))); ok {
 			if data, err := tx.Read(tbl, rid, true); err == nil && data != nil {
 				if err := tx.Delete(tbl, rid); err != nil {
 					t.Fatal(err)
@@ -232,7 +232,7 @@ func verifyStress(t *testing.T, m *Manager, tbl *storage.Table) {
 		visible++
 		sum += data.Col(1).Int()
 		// Row → primary index.
-		rid, ok := tbl.PrimaryLookup([]sqlval.Value{data.Col(0)})
+		rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, data.Col(0)))
 		if !ok || rid != id {
 			t.Errorf("row %d (pk %v) not canonical in primary index (got %d, %v)", id, data.Col(0), rid, ok)
 		}

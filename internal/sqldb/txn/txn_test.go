@@ -46,7 +46,7 @@ func readBalance(t *testing.T, m *Manager, tbl *storage.Table, id int64) (int64,
 	t.Helper()
 	tx := m.Begin(true)
 	defer tx.Commit()
-	rid, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(id)})
+	rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(id)))
 	if !ok {
 		return 0, false
 	}
@@ -101,7 +101,7 @@ func TestAbortRollsBackUpdate(t *testing.T) {
 			m := NewManager(mode)
 			tbl := newAccountsTable(t)
 			seed(t, m, tbl, 1)
-			rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+			rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 			tx := m.Begin(false)
 			if _, err := tx.Read(tbl, rid, true); err != nil {
 				t.Fatal(err)
@@ -123,7 +123,7 @@ func TestAbortRollsBackDelete(t *testing.T) {
 			m := NewManager(mode)
 			tbl := newAccountsTable(t)
 			seed(t, m, tbl, 1)
-			rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+			rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 			tx := m.Begin(false)
 			if err := tx.Delete(tbl, rid); err != nil {
 				t.Fatal(err)
@@ -142,7 +142,7 @@ func TestDeleteCommit(t *testing.T) {
 			m := NewManager(mode)
 			tbl := newAccountsTable(t)
 			seed(t, m, tbl, 2)
-			rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+			rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 			tx := m.Begin(false)
 			if err := tx.Delete(tbl, rid); err != nil {
 				t.Fatal(err)
@@ -183,7 +183,7 @@ func TestReinsertAfterDelete(t *testing.T) {
 			m := NewManager(mode)
 			tbl := newAccountsTable(t)
 			seed(t, m, tbl, 1)
-			rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+			rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 			tx := m.Begin(false)
 			if err := tx.Delete(tbl, rid); err != nil {
 				t.Fatal(err)
@@ -211,7 +211,7 @@ func TestReadOwnWrites(t *testing.T) {
 			m := NewManager(mode)
 			tbl := newAccountsTable(t)
 			seed(t, m, tbl, 1)
-			rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+			rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 			tx := m.Begin(false)
 			if err := tx.Update(tbl, rid, row(0, 42)); err != nil {
 				t.Fatal(err)
@@ -229,7 +229,7 @@ func TestMVCCSnapshotIsolation(t *testing.T) {
 	m := NewManager(MVCC)
 	tbl := newAccountsTable(t)
 	seed(t, m, tbl, 1)
-	rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 
 	reader := m.Begin(true) // snapshot taken now
 	writer := m.Begin(false)
@@ -257,7 +257,7 @@ func TestMVCCFirstUpdaterWins(t *testing.T) {
 	m := NewManager(MVCC)
 	tbl := newAccountsTable(t)
 	seed(t, m, tbl, 1)
-	rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 
 	t1 := m.Begin(false)
 	t2 := m.Begin(false)
@@ -280,7 +280,7 @@ func TestMVCCConflictAfterSnapshot(t *testing.T) {
 	m := NewManager(MVCC)
 	tbl := newAccountsTable(t)
 	seed(t, m, tbl, 1)
-	rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 
 	t1 := m.Begin(false) // snapshot before t2's commit
 	t2 := m.Begin(false)
@@ -302,7 +302,7 @@ func TestMVCCClaimThenUpdateCommit(t *testing.T) {
 	m := NewManager(MVCC)
 	tbl := newAccountsTable(t)
 	seed(t, m, tbl, 1)
-	rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 	tx := m.Begin(false)
 	if _, err := tx.Read(tbl, rid, true); err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestMVCCClaimOnlyCommitRestoresLiveness(t *testing.T) {
 	m := NewManager(MVCC)
 	tbl := newAccountsTable(t)
 	seed(t, m, tbl, 1)
-	rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 	tx := m.Begin(false)
 	if _, err := tx.Read(tbl, rid, true); err != nil {
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestLockingConflictWaitDie(t *testing.T) {
 	m := NewManager(Locking)
 	tbl := newAccountsTable(t)
 	seed(t, m, tbl, 1)
-	rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 
 	older := m.Begin(false) // smaller id
 	younger := m.Begin(false)
@@ -375,7 +375,7 @@ func TestLockingOlderWaits(t *testing.T) {
 	m := NewManager(Locking)
 	tbl := newAccountsTable(t)
 	seed(t, m, tbl, 1)
-	rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 
 	older := m.Begin(false)
 	younger := m.Begin(false)
@@ -401,7 +401,7 @@ func TestLockingSharedReaders(t *testing.T) {
 	m := NewManager(Locking)
 	tbl := newAccountsTable(t)
 	seed(t, m, tbl, 1)
-	rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 	t1 := m.Begin(false)
 	t2 := m.Begin(false)
 	if _, err := t1.Read(tbl, rid, false); err != nil {
@@ -489,7 +489,7 @@ func transfer(m *Manager, tbl *storage.Table, from, to, amount int64) bool {
 			a, b = b, a
 		}
 		for _, id := range []int64{a, b} {
-			rid, found := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(id)})
+			rid, found := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(id)))
 			if !found {
 				return false
 			}
@@ -520,7 +520,7 @@ func TestVacuumReclaimsDeletedRows(t *testing.T) {
 	seed(t, m, tbl, 100)
 	tx := m.Begin(false)
 	for i := int64(0); i < 50; i++ {
-		rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(i)})
+		rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(i)))
 		if err := tx.Delete(tbl, rid); err != nil {
 			t.Fatal(err)
 		}
@@ -607,7 +607,7 @@ func TestUpdateRespectsUniqueIndex(t *testing.T) {
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			rid2, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(2)})
+			rid2, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(2)))
 
 			// Moving row 2 onto row 1's unique balance must fail retryably.
 			tx = m.Begin(false)
@@ -660,7 +660,7 @@ func TestInsertRollbackRestoresDisplacedPrimaryEntry(t *testing.T) {
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			origID, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(1)})
+			origID, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(1)))
 			if !ok {
 				t.Fatal("inserted key missing from primary index")
 			}
@@ -687,7 +687,7 @@ func TestInsertRollbackRestoresDisplacedPrimaryEntry(t *testing.T) {
 			}
 			tx.Abort()
 
-			rid, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(1)})
+			rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(1)))
 			if !ok {
 				t.Fatal("rolled-back insert dropped the displaced primary entry")
 			}
@@ -708,7 +708,7 @@ func TestInsertRollbackRestoresDisplacedPrimaryEntry(t *testing.T) {
 			// Once nothing can see the dead row, vacuum reclaims both the
 			// restored entry and the slot.
 			m.Vacuum()
-			if _, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(1)}); ok {
+			if _, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(1))); ok {
 				t.Fatal("vacuum left the dead row's primary entry behind")
 			}
 			if got := tbl.RowCount(); got != 0 {
@@ -726,7 +726,7 @@ func TestHorizonTracksActiveSnapshots(t *testing.T) {
 	old := m.Begin(true)
 	// Commit something to advance the clock.
 	tx := m.Begin(false)
-	rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 	tx.Update(tbl, rid, row(0, 1))
 	tx.Commit()
 	if h := m.Horizon(); h != old.Snapshot() {

@@ -22,7 +22,7 @@ func TestVacuumVisitsOnlyWrittenRows(t *testing.T) {
 	}
 	for i := int64(0); i < updates; i++ {
 		tx := m.Begin(false)
-		rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(i * 997)})
+		rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(i*997)))
 		if err := tx.Update(tbl, rid, row(i*997, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestVacuumWaitsForHorizon(t *testing.T) {
 	update := func(id, bal int64) {
 		t.Helper()
 		tx := m.Begin(false)
-		rid, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(id)})
+		rid, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(id)))
 		if err := tx.Update(tbl, rid, row(id, bal)); err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestVacuumWaitsForHorizon(t *testing.T) {
 
 // readBalanceAt reads an account's balance inside an open transaction.
 func readBalanceAt(tx *Txn, tbl *storage.Table, id int64) (int64, bool) {
-	rid, ok := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(id)})
+	rid, ok := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(id)))
 	if !ok {
 		return 0, false
 	}

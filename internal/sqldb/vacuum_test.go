@@ -256,7 +256,7 @@ func TestIndexKeysDoNotPinRecords(t *testing.T) {
 	if dead, prunable := tbl.Unreclaimed(e.TxnManager().Horizon()); dead != 0 || prunable != 0 {
 		t.Fatalf("vacuum left %d dead and %d prunable rows", dead, prunable)
 	}
-	id, _ := tbl.PrimaryLookup([]sqlval.Value{sqlval.NewInt(0)})
+	id, _ := tbl.PrimaryLookup(sqlval.AppendKey(nil, sqlval.NewInt(0)))
 	row, _ := tbl.Row(id)
 	record := uint64(len(row.Latest().Record()))
 	growth := int64(heapLive() - base)

@@ -404,74 +404,6 @@ func CompareRows(a, b []Value) int {
 	return cmpInt(int64(len(a)), int64(len(b)))
 }
 
-// CloneStrings re-points every text value in vals at a private copy of its
-// bytes — one allocation for all of them, none when there is no text — so
-// that vals no longer shares memory with whatever it was built from. The
-// storage layer applies it to index keys decoded from row records: a key
-// holding a substring of a record would keep the whole record alive.
-func CloneStrings(vals []Value) {
-	n := 0
-	for i := range vals {
-		if vals[i].kind == KindString {
-			n += len(vals[i].s)
-		}
-	}
-	if n == 0 {
-		return
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i := range vals {
-		if vals[i].kind == KindString {
-			b.WriteString(vals[i].s)
-		}
-	}
-	all, off := b.String(), 0
-	for i := range vals {
-		if vals[i].kind == KindString {
-			end := off + len(vals[i].s)
-			vals[i].s = all[off:end]
-			off = end
-		}
-	}
-}
-
-// EncodeKey renders a composite key into a compact string usable as a Go map
-// key. Encoding is injective per kind but not order-preserving; it is used
-// for hash lookups only.
-func EncodeKey(vals []Value) string {
-	var b strings.Builder
-	for _, v := range vals {
-		switch v.kind {
-		case KindNull:
-			b.WriteByte(0x00)
-		case KindInt, KindBool:
-			b.WriteByte(0x01)
-			writeUint64(&b, uint64(v.i))
-		case KindFloat: // i holds the float's bits
-			b.WriteByte(0x02)
-			writeUint64(&b, uint64(v.i))
-		case KindString:
-			b.WriteByte(0x03)
-			writeUint64(&b, uint64(len(v.s)))
-			b.WriteString(v.s)
-		case KindTime:
-			b.WriteByte(0x04)
-			writeUint64(&b, uint64(v.i))
-		}
-	}
-	return b.String()
-}
-
-func writeUint64(b *strings.Builder, v uint64) {
-	var buf [8]byte
-	for i := 7; i >= 0; i-- {
-		buf[i] = byte(v)
-		v >>= 8
-	}
-	b.Write(buf[:])
-}
-
 // Add returns a+b with numeric widening; string operands concatenate.
 func Add(a, b Value) (Value, error) { return arith(a, b, "+") }
 

@@ -1,6 +1,7 @@
 package sqlval
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -199,8 +200,8 @@ func TestCoerceKind(t *testing.T) {
 	}
 }
 
-func TestEncodeKeyInjective(t *testing.T) {
-	// Distinct composite keys must encode to distinct strings.
+func TestAppendKeyInjective(t *testing.T) {
+	// Distinct composite keys must encode to distinct byte strings.
 	keys := [][]Value{
 		{NewInt(1), NewString("a")},
 		{NewInt(1), NewString("b")},
@@ -214,7 +215,7 @@ func TestEncodeKeyInjective(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for i, k := range keys {
-		enc := EncodeKey(k)
+		enc := string(AppendKey(nil, k...))
 		if j, dup := seen[enc]; dup {
 			t.Errorf("keys %d and %d encode identically", i, j)
 		}
@@ -237,12 +238,12 @@ func TestCompareProperty(t *testing.T) {
 	}
 }
 
-// Property: EncodeKey is injective for (int64, string) pairs.
-func TestEncodeKeyProperty(t *testing.T) {
+// Property: AppendKey is injective for (int64, string) pairs.
+func TestAppendKeyProperty(t *testing.T) {
 	prop := func(a1 int64, s1 string, a2 int64, s2 string) bool {
-		k1 := EncodeKey([]Value{NewInt(a1), NewString(s1)})
-		k2 := EncodeKey([]Value{NewInt(a2), NewString(s2)})
-		return (k1 == k2) == (a1 == a2 && s1 == s2)
+		k1 := AppendKey(nil, NewInt(a1), NewString(s1))
+		k2 := AppendKey(nil, NewInt(a2), NewString(s2))
+		return bytes.Equal(k1, k2) == (a1 == a2 && s1 == s2)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -346,8 +347,11 @@ func TestFloatBits(t *testing.T) {
 	if b, _ := CoerceKind(NewFloat(0.5), KindBool); !b.Bool() {
 		t.Error("0.5 -> BOOLEAN")
 	}
-	want := "\x02" + string([]byte{0x3f, 0xf8, 0, 0, 0, 0, 0, 0}) // 1.5
-	if got := EncodeKey([]Value{NewFloat(1.5)}); got != want {
-		t.Errorf("EncodeKey(1.5) = %q, want %q", got, want)
+	want := []byte{0x02, 0xbf, 0xf8, 0, 0, 0, 0, 0, 0} // 1.5, sign bit flipped
+	if got := AppendKey(nil, NewFloat(1.5)); !bytes.Equal(got, want) {
+		t.Errorf("AppendKey(1.5) = %x, want %x", got, want)
+	}
+	if !bytes.Equal(AppendKey(nil, negZero), AppendKey(nil, NewFloat(0))) {
+		t.Error("-0.0 must encode as 0")
 	}
 }

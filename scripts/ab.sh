@@ -29,7 +29,17 @@
 #               than every parent run
 #   unchanged   everything else
 #
-# The report is a markdown table (report.md) plus the same rows as JSON
+# Every run also records the host's conditions (host.tsv): /proc/stat is
+# read, and nothing else touched, before and after the run, and the report
+# gives, in points of one CPU over the run's wall time, the CPU stolen from
+# the machine (steal) and the CPU used by everything but the benchmark
+# process and its children (others). A pair whose two sides differ by more
+# than 10 points in either is flagged: its difference may be the host's.
+# After the verdict table come the host conditions of every pair, and for
+# each workload and metric whose verdict is `worse` or `unresolved`, its
+# pairs one by one with their host conditions.
+#
+# The report is markdown (report.md) plus the verdict rows as JSON
 # (report.json), both written to the run directory; `--report` rebuilds them
 # from a run directory without running anything. Nothing is fetched: the
 # revisions must already be in the local repository.
@@ -64,6 +74,9 @@ report() {
 			| [$p, $s, .workload, "noisy", 1] | @tsv' "$dir/$file" >>"$values"
 	done <"$dir/runs.tsv"
 	jq -r '.end_to_end[] | [.name, .better, .bound] | @tsv' "$spec" >"$dir/spec.tsv"
+	# Run directories from before host conditions were recorded have none.
+	local host="$dir/host.tsv"
+	[ -f "$host" ] || host=/dev/null
 
 	awk -F'\t' -v json="$dir/report.json" '
 	function sortv(a, n,    i, j, t) {
@@ -76,8 +89,23 @@ report() {
 		return lo + 1 < n ? a[lo+1] + (h - lo) * (a[lo+2] - a[lo+1]) : a[n]
 	}
 	function abs(x) { return x < 0 ? -x : x }
+	function cond(p, side) { return (p, side) in hosted ? sprintf("%.1f / %.1f", steal[p, side], others[p, side]) : "-" }
+	function flag(p) {
+		if (!((p, "parent") in hosted) || !((p, "change") in hosted)) return "-"
+		return abs(steal[p, "change"] - steal[p, "parent"]) > 10 || abs(others[p, "change"] - others[p, "parent"]) > 10 ? "FLAG" : ""
+	}
 	function fmt(x) { return abs(x) >= 10000 ? sprintf("%.0f", x) : sprintf("%.5g", x) }
 	FILENAME ~ /spec.tsv$/ { better[$1] = $2; bound[$1] = $3; order[++nm] = $1; next }
+	# host.tsv: pair side seed, then /proc/stat tick deltas over the run
+	# (total, busy, steal), the ticks of the benchmark process and its
+	# children, and the CPU count. Conditions in points of one CPU.
+	FILENAME !~ /values.tsv$/ {
+		wall = $4 / $8
+		seed[$1] = $3; hosted[$1, $2] = 1
+		steal[$1, $2] = wall > 0 ? 100 * $6 / wall : 0
+		others[$1, $2] = wall > 0 ? 100 * ($5 - $6 - $7) / wall : 0
+		next
+	}
 	{
 		pair = $1; side = $2; w = $3; m = $4; v = $5
 		if (!(w in seenw)) { seenw[w] = 1; ws[++nw] = w }
@@ -124,6 +152,7 @@ report() {
 				ratio = abs(pm) > 0 ? sprintf("%.3f", cm / pm) : "-"
 				printf "| %s | %s | %s [%s, %s] | %s [%s, %s] | %s | %d/%d | %s |\n", w, m,
 					fmt(pm), fmt(p1), fmt(p3), fmt(cm), fmt(c1), fmt(c3), ratio, wins, n, verdict
+				if (verdict == "worse" || verdict == "unresolved") { doubt[++nd] = w SUBSEP m; doubtv[nd] = verdict }
 				printf "%s\n  {\"workload\": \"%s\", \"metric\": \"%s\", \"parent\": {\"median\": %s, \"q1\": %s, \"q3\": %s, \"n\": %d}, \"change\": {\"median\": %s, \"q1\": %s, \"q3\": %s, \"n\": %d}, \"wins\": %d, \"pairs\": %d, \"verdict\": \"%s\"}",
 					first ? "" : ",", w, m, pm, p1, p3, np_, cm, c1, c3, nc, wins, n, verdict >json
 				first = 0
@@ -132,12 +161,30 @@ report() {
 		print "]" >json
 		if (np < 10)
 			printf "\n%d pairs: a claim needs at least 10, so no gain above is one\n", np
+		print "\nHost conditions per pair, points of one CPU (steal / others; flag: the sides differ by more than 10):\n"
+		print "| pair | seed | parent steal / others | change steal / others | flag |"
+		print "|---|---|---|---|---|"
+		for (j = 1; j <= np; j++) print "| " pairs[j] " | " seed[pairs[j]] " | " cond(pairs[j], "parent") " | " cond(pairs[j], "change") " | " flag(pairs[j]) " |"
+		for (k = 1; k <= nd; k++) {
+			split(doubt[k], wm, SUBSEP); w = wm[1]; m = wm[2]
+			printf "\n%s %s (%s), pair by pair:\n\n", w, m, doubtv[k]
+			print "| pair | seed | parent | change | change/parent | parent steal / others | change steal / others | flag |"
+			print "|---|---|---|---|---|---|---|---|"
+			for (j = 1; j <= np; j++) {
+				p = pairs[j]
+				if (!((w, m, "parent", p) in has) || !((w, m, "change", p) in has)) continue
+				pv = val[w, m, "parent", p]; cv = val[w, m, "change", p]
+				ratio = abs(pv) > 0 ? sprintf("%.3f", cv / pv) : "-"
+				printf "| %s | %s | %s | %s | %s | %s | %s | %s |\n", p, seed[p], fmt(pv), fmt(cv),
+					ratio, cond(p, "parent"), cond(p, "change"), flag(p)
+			}
+		}
 		for (i = 1; i <= nw; i++) {
 			w = ws[i]
 			if (noisy[w, "parent"] + noisy[w, "change"] > 0)
 				printf "\n%s: %d parent and %d change runs flagged noisy by the calibration guard\n", w, noisy[w, "parent"], noisy[w, "change"]
 		}
-	}' "$dir/spec.tsv" "$values" | tee "$dir/report.md"
+	}' "$dir/spec.tsv" "$host" "$values" | tee "$dir/report.md"
 	echo
 	echo "ab: report in $dir/report.md and $dir/report.json"
 }
@@ -166,6 +213,22 @@ bench() {
 	shift 2
 	(cd "$wt" && BENCH_COMMIT="$sha" TMPDIR="$wt/.bench_build/tmp" "$wt/.bench_build/bench" "$@")
 }
+
+# ticks: the uptime, the aggregate /proc/stat line's idle (with iowait)
+# and steal ticks, and this shell's waited-for children's ticks (its own
+# /proc/<pid>/stat), all read with builtins so that reading them starts no
+# process. Busy time is what the uptime leaves beside idle: the kernel
+# measures idle exactly but samples the busy states on the tick, which
+# misses the short bursts of a paced run and would count them nowhere.
+ticks() {
+	local up _cpu user nice sys idle iow steal _rest st
+	read -r up _rest </proc/uptime
+	read -r _cpu user nice sys idle iow _ _ steal _rest </proc/stat
+	read -r -a st <"/proc/$$/stat"
+	echo "$((10#${up/./} * hz / 100)) $((idle + iow)) $steal $((st[15] + st[16]))"
+}
+hz=$(getconf CLK_TCK)
+ncpu=$(grep -c '^cpu[0-9]' /proc/stat)
 
 if [ "${1:-}" = "--report" ]; then
 	[ $# -eq 2 ] || usage
@@ -196,6 +259,7 @@ dir="$ab/runs/${parent:0:12}-${change:0:12}-$workload-$(date +%Y%m%d-%H%M%S)"
 mkdir -p "$dir"
 cp "$pwt/BENCHMARK.json" "$dir/BENCHMARK.json"
 : >"$dir/runs.tsv"
+: >"$dir/host.tsv"
 echo "ab: parent $parent_rev (${parent:0:12}), change $change_rev (${change:0:12}), $workload, seeds $*; runs in $dir" >&2
 
 pair=0
@@ -209,8 +273,13 @@ for seed in "$@"; do
 		if [ "$side" = parent ]; then wt=$pwt sha=$parent; else wt=$cwt sha=$change; fi
 		file="$side-s$seed.json"
 		echo "ab: pair $pair, seed $seed, $side" >&2
+		read -r u0 i0 s0 c0 <<<"$(ticks)"
 		if bench "$wt" "$sha" "${wflag[@]}" --trace 0 --seed "$seed" --out "$dir/$file" >"$dir/$side-s$seed.log" 2>&1; then
+			read -r u1 i1 s1 c1 <<<"$(ticks)"
+			total=$(((u1 - u0) * ncpu))
 			printf '%d\t%s\t%s\t%s\n' "$pair" "$side" "$seed" "$file" >>"$dir/runs.tsv"
+			printf '%d\t%s\t%s\t%d\t%d\t%d\t%d\t%d\n' "$pair" "$side" "$seed" \
+				"$total" $((total - (i1 - i0))) $((s1 - s0)) $((c1 - c0)) "$ncpu" >>"$dir/host.tsv"
 		else
 			echo "ab: the $side run of seed $seed failed; see $dir/$side-s$seed.log" >&2
 		fi

@@ -113,18 +113,30 @@ echo "==> go test -race storage stress (striped store + online vacuum; group-com
 # and vacuum, the live heap holds less than two records per row.
 go test -race -count=1 -run 'TestStorageStressConcurrent|TestWriterCountBalances|TestVacuumBacklogComplete|TestIndexKeysDoNotPinRecords' ./internal/sqldb/txn/ ./internal/sqldb/
 
-echo "==> allocation smoke (prepared point read: objects; prepared 100-row scan: bytes; writing transaction: objects; row image: one allocation; B+tree point lookup: none)"
+echo "==> allocation smoke (prepared point read: objects; prepared 100-row scan: bytes; writing transaction: objects; row image: one allocation; B+tree point lookup: none; index keys: scannable heap per entry)"
+# TestIndexScanHeap: index keys live in pointer-free node arenas, so 20 000
+# rows under a 4-int primary key and a text index add at most 16 B of
+# heap the garbage collector scans per index entry.
 # sh has no pipefail: keep go test's exit status instead of grep's, so a
 # failing budget fails the gate.
-SMOKE=$(go test -count=1 -run 'TestPreparedPointReadAllocSmoke|TestPreparedRangeScanAllocSmoke|TestWritingTxnAllocSmoke|TestRowImageOneAlloc|TestTreeGetNoAlloc' -v ./internal/sqldb/ ./internal/btree/) || { echo "$SMOKE"; exit 1; }
-echo "$SMOKE" | grep -E 'allocs/op|B/op|row image|PASS|FAIL'
+SMOKE=$(go test -count=1 -run 'TestPreparedPointReadAllocSmoke|TestPreparedRangeScanAllocSmoke|TestWritingTxnAllocSmoke|TestRowImageOneAlloc|TestTreeGetNoAlloc|TestIndexScanHeap' -v ./internal/sqldb/ ./internal/btree/) || { echo "$SMOKE"; exit 1; }
+echo "$SMOKE" | grep -E 'allocs/op|B/op|row image|per index entry|PASS|FAIL'
 
-echo "==> B+tree key heads fuzz (10 s): the headed comparison agrees with sqlval.CompareRows"
-# Any two keys over every kind (NULL, Top, integers at the encoding's tag
-# edges and +-2^63, Bool, Time, Float, numeric and other text, differing
-# lengths): a head decision must equal CompareRows, and the headed prefix
-# test the column-by-column one.
-go test -run X -fuzz FuzzKeyHead -fuzztime 10s -parallel 2 ./internal/btree/
+echo "==> index-vs-scan differential (-race): indexed tables against unindexed twins"
+# YCSB, TPC-C customer/order_line and TATP subscriber shapes on all three
+# personalities, queried with parameters of every kind (NULL, floats,
+# numeric and other text, integers beyond +-2^53): the index access paths
+# must return exactly the rows, and for ORDER BY ... LIMIT the sequence,
+# that a filtered sequential scan returns.
+go test -race -count=1 -run 'TestIndexScanDifferential' ./internal/consistency/
+
+echo "==> index key encoding fuzz (10 s): byte order is sqlval.CompareRows order"
+# Keys whose columns each hold one kind plus NULL (integers at the tag edges
+# and +-2^63, Bool, Time, +-0 and +-Inf floats, text with 0x00 and 0xFF
+# bytes and prefixes of other text): the encoding's byte order must equal
+# CompareRows, and a search value of any kind that KeyBound converts must
+# order against the column exactly as under Compare.
+go test -run X -fuzz FuzzIndexKey -fuzztime 10s -parallel 2 ./internal/sqlval/
 
 echo "==> bench smoke (bench/run.sh --smoke: the one benchmark, end to end)"
 # Tiny scales, one measured second, quarter rates: every workload runs
