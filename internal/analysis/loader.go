@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked package.
@@ -52,6 +53,9 @@ type Loader struct {
 	loading map[string]bool
 }
 
+// noCgo guards the one write NewLoader makes to build.Default.
+var noCgo sync.Once
+
 // NewLoader creates a loader for the module rooted at dir (the directory
 // containing go.mod).
 func NewLoader(moduleRoot string) (*Loader, error) {
@@ -61,8 +65,9 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	}
 	// The source importer type-checks the standard library from source;
 	// with cgo enabled it would need to run the cgo preprocessor for
-	// packages like net. The pure-Go variants are all we need.
-	build.Default.CgoEnabled = false
+	// packages like net. The pure-Go variants are all we need. build.Default
+	// is process-wide and loaders are made concurrently, so it is set once.
+	noCgo.Do(func() { build.Default.CgoEnabled = false })
 	fset := token.NewFileSet()
 	return &Loader{
 		Fset:       fset,

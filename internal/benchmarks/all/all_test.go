@@ -32,28 +32,74 @@ func TestEveryBenchmarkLoadsAndRuns(t *testing.T) {
 			if err := core.Prepare(b, db, 42); err != nil {
 				t.Fatal(err)
 			}
-			m := core.NewManager(b, db, []core.Phase{{Duration: 400 * time.Millisecond, Rate: 0}},
-				core.Options{Terminals: 4, Seed: 7})
-			if err := m.Run(context.Background()); err != nil {
-				t.Fatal(err)
+			r := runUntilEveryType(t, b, db, 400*time.Millisecond, nil)
+			if r.committed == 0 {
+				t.Fatalf("no transactions committed (aborted=%d errors=%d)", r.aborted, r.errors)
 			}
-			c := m.Collector()
-			if c.Committed() == 0 {
-				t.Fatalf("no transactions committed (aborted=%d errors=%d)", c.Aborted(), c.Errors())
-			}
-			if c.Errors() > 0 {
-				t.Fatalf("%d errors during run (committed=%d)", c.Errors(), c.Committed())
+			if r.errors > 0 {
+				t.Fatalf("%d errors during run (committed=%d)", r.errors, r.committed)
 			}
 			// Every declared transaction type must be exercised by the
 			// default mixture (types with zero weight are exempt).
-			snap := c.Snapshot()
 			for i, w := range b.DefaultMix() {
-				if w > 0 && snap.TypeCounts[i] == 0 {
-					t.Errorf("transaction type %s never ran", snap.TypeNames[i])
+				if w > 0 && r.typeCounts[i] == 0 {
+					t.Errorf("transaction type %s never ran", r.typeNames[i])
 				}
 			}
 		})
 	}
+}
+
+// maxRounds caps runUntilEveryType.
+const maxRounds = 10
+
+// roundsResult sums the collectors of runUntilEveryType's rounds.
+type roundsResult struct {
+	committed, aborted, errors int64
+	typeNames                  []string
+	typeCounts                 []int64
+}
+
+// runUntilEveryType drives b on db closed-loop with four terminals under
+// mix (nil: the default mixture) in rounds of d, each a fresh Manager seeded
+// 7, 8, ..., until every type with a positive weight has committed or
+// maxRounds have run, and returns the sums over the rounds. One round
+// samples every type on an idle host; under -race on two busy CPUs a
+// benchmark with slow types (chbenchmark's analytic queries) may commit
+// only a few dozen transactions in one, so whether a rare type ran would
+// depend on the host's speed rather than on the benchmark.
+func runUntilEveryType(t *testing.T, b core.Benchmark, db *dbdriver.DB, d time.Duration, mix []float64) roundsResult {
+	t.Helper()
+	weights := mix
+	if weights == nil {
+		weights = b.DefaultMix()
+	}
+	var r roundsResult
+	for round := 0; round < maxRounds; round++ {
+		m := core.NewManager(b, db, []core.Phase{{Duration: d, Rate: 0}},
+			core.Options{Terminals: 4, Seed: 7 + int64(round)})
+		m.SetMix(mix)
+		if err := m.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		c := m.Collector()
+		r.committed += c.Committed()
+		r.aborted += c.Aborted()
+		r.errors += c.Errors()
+		snap := c.Snapshot()
+		if r.typeCounts == nil {
+			r.typeNames, r.typeCounts = snap.TypeNames, make([]int64, len(snap.TypeCounts))
+		}
+		missing := false
+		for i, n := range snap.TypeCounts {
+			r.typeCounts[i] += n
+			missing = missing || (i < len(weights) && weights[i] > 0 && r.typeCounts[i] == 0)
+		}
+		if !missing || r.errors > 0 {
+			return r
+		}
+	}
+	return r
 }
 
 // TestEveryBenchmarkOnAllEngines runs each benchmark briefly on all three

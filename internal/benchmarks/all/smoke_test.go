@@ -1,7 +1,6 @@
 package all
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -69,25 +68,18 @@ func TestSmokeAllBenchmarks(t *testing.T) {
 			if err := core.Prepare(b, db, 42); err != nil {
 				t.Fatal(err)
 			}
-			m := core.NewManager(b, db, []core.Phase{{Duration: 500 * time.Millisecond, Rate: 0}},
-				core.Options{Terminals: 4, Seed: 7})
 			uniform := make([]float64, tc.procs)
 			for i := range uniform {
 				uniform[i] = 1
 			}
-			m.SetMix(uniform)
-			if err := m.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			c := m.Collector()
-			if c.Errors() > 0 {
+			r := runUntilEveryType(t, b, db, 500*time.Millisecond, uniform)
+			if r.errors > 0 {
 				t.Fatalf("%d procedure errors (committed=%d aborted=%d)",
-					c.Errors(), c.Committed(), c.Aborted())
+					r.errors, r.committed, r.aborted)
 			}
-			snap := c.Snapshot()
-			for i, n := range snap.TypeCounts {
+			for i, n := range r.typeCounts {
 				if n == 0 {
-					t.Errorf("procedure %s committed zero transactions", snap.TypeNames[i])
+					t.Errorf("procedure %s committed zero transactions", r.typeNames[i])
 				}
 			}
 		})

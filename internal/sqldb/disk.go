@@ -117,6 +117,7 @@ type diskStore struct {
 	ckptEvery   int
 	recovery    *heap.RecoveryResult
 	inflight    []*applyTicket // oldest first; closed prefix retired lazily
+	scratch     []byte         // logOps' update payload; the log copies it
 }
 
 // diskSchema is the serialized form of one table's schema, stored as a
@@ -168,6 +169,12 @@ func OpenDisk(cfg Config) (*Engine, error) {
 		allocIdx: map[uint32]int{},
 	}
 	if err := ds.open(cfg); err != nil {
+		if ds.walFile != nil {
+			_ = ds.walFile.Close()
+		}
+		if ds.closeDev {
+			_ = ds.dev.Close()
+		}
 		return nil, err
 	}
 	e.disk = ds
@@ -527,16 +534,19 @@ func (ds *diskStore) planUpdate(rid heapRID, oldRec, newRec []byte) ([]diskOp, h
 // logOps appends one update record per op (async) and returns only once all
 // are sequenced. Callers hold ds.mu and buy durability with a subsequent
 // awaited record. Marking fresh pages here keeps applying off the allocator.
+// Each payload is encoded into ds.scratch, which the log copies into its
+// buffer before AppendRecordAsync returns.
 func (ds *diskStore) logOps(txnID uint64, ops []diskOp) error {
 	for i := range ops {
 		op := &ops[i]
-		lsn, err := ds.log.AppendRecordAsync(wal.EncodeUpdate(wal.UpdateRec{
+		ds.scratch = wal.AppendUpdate(ds.scratch[:0], wal.UpdateRec{
 			TxnID:  txnID,
 			PageID: op.rid.page,
 			Slot:   op.rid.slot,
 			Before: op.before,
 			After:  op.after,
-		}))
+		})
+		lsn, err := ds.log.AppendRecordAsync(ds.scratch)
 		if err != nil {
 			return err
 		}

@@ -882,20 +882,21 @@ func (g *groupState) accumulate(aggs []aggCall, env *Env) error {
 			g.distinct[i][string(env.keyBytes)] = true
 		}
 		g.counts[i]++
-		if g.sums[i].IsNull() {
-			g.sums[i] = v
-		} else {
-			s, err := sqlval.Add(g.sums[i], v)
-			if err != nil {
+		switch a.fn {
+		case "SUM", "AVG":
+			if g.sums[i].IsNull() {
+				g.sums[i] = v
+			} else if g.sums[i], err = sqlval.Add(g.sums[i], v); err != nil {
 				return err
 			}
-			g.sums[i] = s
-		}
-		if g.mins[i].IsNull() || sqlval.Compare(v, g.mins[i]) < 0 {
-			g.mins[i] = v
-		}
-		if g.maxs[i].IsNull() || sqlval.Compare(v, g.maxs[i]) > 0 {
-			g.maxs[i] = v
+		case "MIN":
+			if g.mins[i].IsNull() || sqlval.Compare(v, g.mins[i]) < 0 {
+				g.mins[i] = v
+			}
+		case "MAX":
+			if g.maxs[i].IsNull() || sqlval.Compare(v, g.maxs[i]) > 0 {
+				g.maxs[i] = v
+			}
 		}
 	}
 	return nil

@@ -156,6 +156,30 @@ func TestGroupingFollowsKeyEncoding(t *testing.T) {
 	}
 }
 
+// TestAggregatesOverTimestamps: only SUM and AVG add their arguments up, so
+// COUNT, MIN, MAX and COUNT(DISTINCT) work on a kind that "+" rejects.
+func TestAggregatesOverTimestamps(t *testing.T) {
+	e := newEngine(t, txn.MVCC)
+	s := e.Session()
+	mustExec(t, s, "CREATE TABLE ev (id INT NOT NULL, at TIMESTAMP, PRIMARY KEY (id))")
+	t1, t2 := time.Unix(1000, 0), time.Unix(2000, 0)
+	for i, at := range []any{t2, t1, t2, nil} {
+		mustExec(t, s, "INSERT INTO ev (id, at) VALUES (?, ?)", i, at)
+	}
+	res, err := s.Query("SELECT COUNT(at), MIN(at), MAX(at), COUNT(DISTINCT at), COUNT(*) FROM ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := res.Rows[0]
+	if row[0].Int() != 3 || !row[1].Time().Equal(t1) || !row[2].Time().Equal(t2) ||
+		row[3].Int() != 2 || row[4].Int() != 4 {
+		t.Fatalf("COUNT, MIN, MAX, COUNT(DISTINCT), COUNT(*) = %v", row)
+	}
+	if _, err := s.Query("SELECT SUM(at) FROM ev"); err == nil {
+		t.Fatal("SUM over TIMESTAMP values succeeded")
+	}
+}
+
 // TestIndexScanHeap: index keys live in pointer-free node arenas, so the
 // heap the garbage collector must scan grows by a few bytes per index entry
 // (node headers and child pointers), not by a key slice of pointer-bearing

@@ -15,7 +15,7 @@
 //	8:16  page LSN — the LSN of the last update applied to the page
 //	16:18 slot count
 //	18:20 free pointer — offset of the lowest record byte
-//	20:24 FNV-32a checksum over the page with this field zeroed
+//	20:24 CRC-32C (Castagnoli) checksum over the page with this field zeroed
 //
 // The checksum is stamped by Seal immediately before a page goes to the
 // device, and verified by Verify when it comes back; a failed Verify is how
@@ -32,7 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 )
 
 // PageSize is the fixed on-device page size.
@@ -44,7 +44,7 @@ const PageSize = 4096
 const PageCapacity = PageSize - headerSize
 
 const (
-	pageMagic  = 0x50C4
+	pageMagic  = 0x50C5 // 0x50C4 while the checksum was FNV-32a
 	headerSize = 24
 	slotSize   = 4
 
@@ -84,14 +84,15 @@ func Format(b []byte, id uint32) Page {
 	return Page{b: b}
 }
 
+// castagnoli selects the CRC-32C polynomial, which hash/crc32 computes with
+// the CPU's CRC instructions where it has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // checksum computes the page checksum with the checksum field zeroed.
 func checksum(b []byte) uint32 {
-	h := fnv.New32a()
-	h.Write(b[:offChecksum])
 	var zero [4]byte
-	h.Write(zero[:])
-	h.Write(b[offChecksum+4:])
-	return h.Sum32()
+	c := crc32.Update(crc32.Update(0, castagnoli, b[:offChecksum]), castagnoli, zero[:])
+	return crc32.Update(c, castagnoli, b[offChecksum+4:])
 }
 
 // Seal stamps the page checksum; call immediately before a device write.
@@ -199,10 +200,8 @@ func (p Page) liveBytes(excludeSlot int) int {
 		if i == excludeSlot {
 			continue
 		}
-		if _, ln := p.slotEntry(i); ln > 0 {
-			if off, _ := p.slotEntry(i); off != 0 {
-				total += int(ln)
-			}
+		if off, ln := p.slotEntry(i); off != 0 {
+			total += int(ln)
 		}
 	}
 	return total

@@ -12,7 +12,7 @@ import (
 func rec(seq uint64, payload []byte) wal.Record { return wal.Record{Seq: seq, Payload: payload} }
 
 func upd(txn uint64, page uint32, slot uint16, before, after []byte) []byte {
-	return wal.EncodeUpdate(wal.UpdateRec{TxnID: txn, PageID: page, Slot: slot, Before: before, After: after})
+	return wal.AppendUpdate(nil, wal.UpdateRec{TxnID: txn, PageID: page, Slot: slot, Before: before, After: after})
 }
 
 func readPage(t *testing.T, dev Device, id uint32) Page {

@@ -68,9 +68,8 @@ type ARIESRecord struct {
 	Checkpoint CheckpointRec
 }
 
-// EncodeUpdate encodes an update record payload.
-func EncodeUpdate(r UpdateRec) []byte {
-	b := make([]byte, 0, 1+8+4+2+4+len(r.Before)+4+len(r.After))
+// AppendUpdate appends an update record payload to b.
+func AppendUpdate(b []byte, r UpdateRec) []byte {
 	b = append(b, byte(KindUpdate))
 	b = binary.LittleEndian.AppendUint64(b, r.TxnID)
 	b = binary.LittleEndian.AppendUint32(b, r.PageID)

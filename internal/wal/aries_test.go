@@ -12,7 +12,7 @@ func TestARIESRoundTrip(t *testing.T) {
 		TxnID: 42, PageID: 7, Slot: 3,
 		Before: []byte("old image"), After: []byte("new image"),
 	}
-	rec, err := DecodeARIES(EncodeUpdate(upd))
+	rec, err := DecodeARIES(AppendUpdate(nil, upd))
 	if err != nil {
 		t.Fatalf("decode update: %v", err)
 	}
@@ -25,7 +25,7 @@ func TestARIESRoundTrip(t *testing.T) {
 		{TxnID: 1, PageID: 2, Slot: 0, After: []byte("x")},
 		{TxnID: 1, PageID: 2, Slot: 9, Before: []byte("x")},
 	} {
-		rec, err := DecodeARIES(EncodeUpdate(u))
+		rec, err := DecodeARIES(AppendUpdate(nil, u))
 		if err != nil {
 			t.Fatalf("decode %+v: %v", u, err)
 		}
@@ -63,10 +63,10 @@ func TestARIESDecodeErrors(t *testing.T) {
 		{byte(KindCommit), 1, 2, 3},   // short commit
 		{byte(KindCheckpoint), 1, 2},  // short checkpoint
 		append(EncodeCommit(1), 0xFF), // trailing bytes
-		EncodeUpdate(UpdateRec{After: []byte("x")})[:16], // truncated blob
+		AppendUpdate(nil, UpdateRec{After: []byte("x")})[:16], // truncated blob
 	}
 	// Absurd blob length prefix inside an update record.
-	bad := EncodeUpdate(UpdateRec{TxnID: 1, PageID: 1})
+	bad := AppendUpdate(nil, UpdateRec{TxnID: 1, PageID: 1})
 	bad[15] = 0xFF // before-image length low byte -> exceeds remaining
 	cases = append(cases, bad)
 	// Checkpoint claiming more entries than its bytes hold.
@@ -108,7 +108,7 @@ func TestAppendRecordAsyncGroupOrdering(t *testing.T) {
 	// Async updates followed by one awaited commit record: the commit's
 	// durability verdict must cover the whole batch, in sequence order.
 	for i := 0; i < 5; i++ {
-		if _, err := l.AppendRecordAsync(EncodeUpdate(UpdateRec{TxnID: 9, PageID: uint32(i)})); err != nil {
+		if _, err := l.AppendRecordAsync(AppendUpdate(nil, UpdateRec{TxnID: 9, PageID: uint32(i)})); err != nil {
 			t.Fatalf("async append %d: %v", i, err)
 		}
 	}

@@ -12,9 +12,9 @@ import (
 // is exercised on mutated frames too.
 func FuzzWALRecordDecode(f *testing.F) {
 	seeds := [][]byte{
-		EncodeUpdate(UpdateRec{TxnID: 3, PageID: 1, Slot: 2, Before: []byte("b"), After: []byte("after-image")}),
-		EncodeUpdate(UpdateRec{TxnID: 1, PageID: 0, After: bytes.Repeat([]byte{0xAB}, 100)}),
-		EncodeUpdate(UpdateRec{TxnID: 1, PageID: 9, Slot: 4, Before: []byte("gone")}),
+		AppendUpdate(nil, UpdateRec{TxnID: 3, PageID: 1, Slot: 2, Before: []byte("b"), After: []byte("after-image")}),
+		AppendUpdate(nil, UpdateRec{TxnID: 1, PageID: 0, After: bytes.Repeat([]byte{0xAB}, 100)}),
+		AppendUpdate(nil, UpdateRec{TxnID: 1, PageID: 9, Slot: 4, Before: []byte("gone")}),
 		EncodeCommit(77),
 		EncodeCheckpoint(CheckpointRec{Dirty: []DirtyPage{{PageID: 2, RecLSN: 5}, {PageID: 8, RecLSN: 9}}}),
 		EncodeCheckpoint(CheckpointRec{}),
@@ -28,7 +28,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	// Absurd length prefix inside an update record body.
-	huge := EncodeUpdate(UpdateRec{TxnID: 1, PageID: 1, After: []byte("x")})
+	huge := AppendUpdate(nil, UpdateRec{TxnID: 1, PageID: 1, After: []byte("x")})
 	huge[15] = 0xFF
 	huge[16] = 0xFF
 	f.Add(huge)
@@ -43,7 +43,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 		var enc []byte
 		switch rec.Kind {
 		case KindUpdate:
-			enc = EncodeUpdate(rec.Update)
+			enc = AppendUpdate(nil, rec.Update)
 		case KindCommit:
 			enc = EncodeCommit(rec.Commit)
 		case KindCheckpoint:

@@ -40,7 +40,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"runtime"
 	"sync"
@@ -104,7 +104,8 @@ type Log struct {
 	w        io.Writer
 
 	mu       sync.Mutex
-	buf      []byte
+	buf      []byte    // the open generation's frames; SyncNone's one frame
+	spare    []byte    // a written generation's buffer, emptied for the next seal
 	gen      *flushGen // open generation accumulating appends
 	lastSeal time.Time // seal time of the previous generation, guarded by mu
 	// failErr is the first sink write error observed. Once set, the log is
@@ -212,11 +213,18 @@ func (l *Log) Policy() SyncPolicy {
 }
 
 // recordMagic guards every frame so that replay can tell a torn or corrupt
-// tail from a valid record.
-const recordMagic = 0xB7
+// tail from a valid record. A log of an older format fails on its magic.
+const recordMagic = 0xB8 // 0xB7 while the frame checksum was FNV-32a
+
+// castagnoli selects the CRC-32C polynomial, which hash/crc32 computes with
+// the CPU's CRC instructions where it has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// maxSpare caps the spare's capacity, so no large batch stays resident.
+const maxSpare = 64 << 10
 
 // PayloadHeaderSize is the encoded size of one frame header: magic (1) +
-// reserved (3) + sequence (8) + payload length (4) + FNV-32a (4). The crash
+// reserved (3) + sequence (8) + payload length (4) + CRC-32C (4). The crash
 // harness uses it to locate payload bytes inside a captured sink image when
 // picking kill points that tear specific record kinds.
 const PayloadHeaderSize = 20
@@ -293,12 +301,12 @@ func (l *Log) appendRecord(payload []byte, announced bool) error {
 	if l == nil {
 		return nil
 	}
-	f := frame(payload)
+	sum := crc32.Checksum(payload, castagnoli)
 	l.mu.Lock()
 	if announced {
 		l.outside.Add(-1)
 	}
-	if _, err := l.enqueueLocked(f); err != nil || l.policy != SyncGroup {
+	if _, err := l.enqueueLocked(payload, sum); err != nil || l.policy != SyncGroup {
 		l.mu.Unlock()
 		return err // SyncNone wrote through; SyncAsync's flusher drains the buffer
 	}
@@ -350,49 +358,45 @@ func (l *Log) AppendRecordAsync(payload []byte) (uint64, error) {
 	if l == nil {
 		return 0, nil
 	}
-	f := frame(payload)
+	sum := crc32.Checksum(payload, castagnoli)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.enqueueLocked(f)
+	return l.enqueueLocked(payload, sum)
 }
 
-// frame encodes payload as one checksummed frame; enqueueLocked stamps its
-// sequence field.
-func frame(payload []byte) []byte {
-	f := make([]byte, PayloadHeaderSize+len(payload))
-	f[0] = recordMagic
-	binary.BigEndian.PutUint32(f[12:16], uint32(len(payload)))
-	h := fnv.New32a()
-	h.Write(payload)
-	binary.BigEndian.PutUint32(f[16:20], h.Sum32())
-	copy(f[PayloadHeaderSize:], payload)
-	return f
-}
-
-// enqueueLocked stamps f with the next sequence number and hands it to the
-// policy: SyncNone writes it through, and the write's verdict is the
-// caller's; SyncAsync and SyncGroup append it to the open generation's
-// buffer. Stamping under l.mu keeps buffer order and sequence order equal
-// (the checksum covers only the payload, so late stamping is safe). Callers
-// hold l.mu.
-func (l *Log) enqueueLocked(f []byte) (uint64, error) {
+// enqueueLocked frames payload, whose CRC-32C is sum, under the next
+// sequence number and hands it to the policy: SyncNone writes it through
+// from l.buf, and the write's verdict is the caller's; SyncAsync
+// and SyncGroup append it to the open generation's buffer. Numbering under
+// l.mu keeps buffer order and sequence order equal (the checksum covers only
+// the payload, so it is computed before the lock). Callers hold l.mu.
+func (l *Log) enqueueLocked(payload []byte, sum uint32) (uint64, error) {
 	if l.failErr != nil {
 		return 0, l.failErr
 	}
 	seq := l.seq.Add(1)
-	binary.BigEndian.PutUint64(f[4:12], seq)
 	if l.policy == SyncNone {
-		if err := writeAll(l.w, f); err != nil {
+		l.buf = appendFrame(l.buf[:0], seq, sum, payload)
+		if err := writeAll(l.w, l.buf); err != nil {
 			l.failErr = err
 			return 0, err
 		}
 		l.durable.Store(seq)
-		l.bytes.Add(uint64(len(f)))
+		l.bytes.Add(uint64(len(l.buf)))
 	} else {
-		l.buf = append(l.buf, f...)
+		l.buf = appendFrame(l.buf, seq, sum, payload)
 	}
 	l.records.Add(1)
 	return seq, nil
+}
+
+// appendFrame appends one frame: the header, then payload.
+func appendFrame(dst []byte, seq uint64, sum uint32, payload []byte) []byte {
+	dst = append(dst, recordMagic, 0, 0, 0)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, sum)
+	return append(dst, payload...)
 }
 
 // Flush forces buffered records to the sink and returns the write verdict,
@@ -403,12 +407,11 @@ func (l *Log) Flush() error {
 	if l == nil {
 		return nil
 	}
+	l.mu.Lock()
 	if l.policy == SyncNone {
-		l.mu.Lock()
 		defer l.mu.Unlock()
 		return l.failErr // SyncNone writes through: nothing is buffered
 	}
-	l.mu.Lock()
 	g := l.gen
 	l.sealLocked(sealFlush)
 	l.mu.Unlock()
@@ -505,7 +508,7 @@ func (l *Log) sealLocked(reason sealReason) {
 	g := l.gen
 	g.buf = l.buf
 	g.maxSeq = l.seq.Load()
-	l.buf = nil
+	l.buf, l.spare = l.spare, nil
 	l.gen = newGen(g)
 	l.lastSeal = time.Now()
 	g.isSealed.Store(true)
@@ -528,7 +531,8 @@ func (l *Log) sealIfOpen(g *flushGen, reason sealReason) bool {
 // It first waits for the predecessor generation so sink writes happen in
 // seal (= sequence) order; the open generation keeps filling meanwhile,
 // which is the commit pipeline. failErr is set before done is closed, so a
-// successor can never write past a dead device.
+// successor can never write past a dead device. The written buffer becomes
+// the spare the next seal opens with: io.Writer must not retain it.
 func (l *Log) complete(g *flushGen) {
 	if g.prev != nil {
 		<-g.prev.done
@@ -538,17 +542,19 @@ func (l *Log) complete(g *flushGen) {
 	err := l.failErr
 	l.mu.Unlock()
 	if err == nil && len(g.buf) > 0 {
-		if err = writeAll(l.w, g.buf); err != nil {
-			l.mu.Lock()
-			if l.failErr == nil {
-				l.failErr = err
-			}
-			l.mu.Unlock()
-		} else {
+		if err = writeAll(l.w, g.buf); err == nil {
 			l.bytes.Add(uint64(len(g.buf)))
 			l.flushes.Add(1)
 		}
 	}
+	l.mu.Lock()
+	if err != nil && l.failErr == nil {
+		l.failErr = err
+	}
+	if cap(g.buf) <= maxSpare && cap(g.buf) > cap(l.spare) {
+		l.spare = g.buf[:0]
+	}
+	l.mu.Unlock()
 	if err == nil {
 		// Generations complete in seal order, so maxSeq is nondecreasing
 		// here; every record at or below it has reached the sink.
@@ -696,7 +702,7 @@ func ScanRecords(data []byte) ([]Record, int, error) {
 		}
 		hdr := data[off : off+PayloadHeaderSize]
 		if hdr[0] != recordMagic {
-			return recs, off, fmt.Errorf("wal: bad record magic 0x%02x at offset %d", hdr[0], off)
+			return recs, off, fmt.Errorf("wal: record magic 0x%02x at offset %d is not this log format's 0x%02x", hdr[0], off, recordMagic)
 		}
 		seq := binary.BigEndian.Uint64(hdr[4:12])
 		plen := int(binary.BigEndian.Uint32(hdr[12:16]))
@@ -705,9 +711,7 @@ func ScanRecords(data []byte) ([]Record, int, error) {
 			return recs, off, ErrTorn
 		}
 		payload := data[off+PayloadHeaderSize : off+PayloadHeaderSize+plen]
-		h := fnv.New32a()
-		h.Write(payload)
-		if h.Sum32() != sum {
+		if crc32.Checksum(payload, castagnoli) != sum {
 			return recs, off, ErrTorn
 		}
 		if seq != lastSeq+1 {

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -539,5 +540,38 @@ func TestOnlyCommitRecordsUseAnnouncements(t *testing.T) {
 	}
 	if n := l.Outside(); n != 0 {
 		t.Fatalf("outside = %d after the commit record, want 0", n)
+	}
+}
+
+// TestWALAppendNoAlloc checks that framing costs no allocation once the log
+// is warm: a record is encoded in place into the open generation's buffer,
+// which a flush hands back for reuse, and SyncNone frames into the same
+// log-owned buffer before writing through.
+func TestWALAppendNoAlloc(t *testing.T) {
+	payload := AppendUpdate(nil, UpdateRec{TxnID: 7, PageID: 3, Slot: 1,
+		Before: bytes.Repeat([]byte{'b'}, 700), After: bytes.Repeat([]byte{'a'}, 700)})
+	const batch = 64
+	for _, policy := range []SyncPolicy{SyncNone, SyncGroup} {
+		l := New(Options{Policy: policy, W: io.Discard, GroupInterval: time.Hour})
+		// Two flushes: the generation buffers alternate through the spare.
+		for round := 0; round < 2; round++ {
+			for i := 0; i < batch; i++ {
+				if _, err := l.AppendRecordAsync(payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(batch-1, func() {
+			if _, err := l.AppendRecordAsync(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		l.Close()
+		if allocs != 0 {
+			t.Errorf("%s: AppendRecordAsync allocates %.0f per record, want 0", policy, allocs)
+		}
 	}
 }

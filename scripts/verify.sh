@@ -58,8 +58,8 @@ go run ./cmd/benchlint -rule hotpath-alloc ./internal/...
 echo "==> go test -race (short) core, api (one package at a time: the pacer tests time microseconds)"
 go test -race -short -count=1 -p 1 ./internal/core/... ./internal/api/
 
-echo "==> go test -race (short) stats/sqldb/wal/cluster"
-go test -race -short -count=1 ./internal/stats/... ./internal/sqldb/... ./internal/wal/ ./internal/cluster/
+echo "==> go test -race (short) stats/sqldb/wal/cluster/analysis"
+go test -race -short -count=1 ./internal/stats/... ./internal/sqldb/... ./internal/wal/ ./internal/cluster/ ./internal/analysis/...
 
 echo "==> cluster merge gate (-race): coordinator + 2 in-process workers"
 # Short YCSB burst through the coordinator/worker wire: merged committed
