@@ -15,7 +15,7 @@
 //	8:16  page LSN — the LSN of the last update applied to the page
 //	16:18 slot count
 //	18:20 free pointer — offset of the lowest record byte
-//	20:24 CRC-32C (Castagnoli) checksum over the page with this field zeroed
+//	20:24 CRC-32C (Castagnoli) checksum over every other byte of the page
 //
 // The checksum is stamped by Seal immediately before a page goes to the
 // device, and verified by Verify when it comes back; a failed Verify is how
@@ -33,6 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"benchpress/internal/wal"
 )
 
 // PageSize is the fixed on-device page size.
@@ -84,15 +86,9 @@ func Format(b []byte, id uint32) Page {
 	return Page{b: b}
 }
 
-// castagnoli selects the CRC-32C polynomial, which hash/crc32 computes with
-// the CPU's CRC instructions where it has them.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// checksum computes the page checksum with the checksum field zeroed.
+// checksum computes the page checksum over every byte but its own field.
 func checksum(b []byte) uint32 {
-	var zero [4]byte
-	c := crc32.Update(crc32.Update(0, castagnoli, b[:offChecksum]), castagnoli, zero[:])
-	return crc32.Update(c, castagnoli, b[offChecksum+4:])
+	return crc32.Update(crc32.Checksum(b[:offChecksum], wal.Castagnoli), wal.Castagnoli, b[offChecksum+4:])
 }
 
 // Seal stamps the page checksum; call immediately before a device write.
@@ -200,8 +196,10 @@ func (p Page) liveBytes(excludeSlot int) int {
 		if i == excludeSlot {
 			continue
 		}
-		if off, ln := p.slotEntry(i); off != 0 {
-			total += int(ln)
+		if _, ln := p.slotEntry(i); ln > 0 {
+			if off, _ := p.slotEntry(i); off != 0 {
+				total += int(ln)
+			}
 		}
 	}
 	return total

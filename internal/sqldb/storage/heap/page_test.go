@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"benchpress/internal/sqlval"
-	"benchpress/internal/wal"
 )
 
 func TestPagePutGetDelete(t *testing.T) {
@@ -196,9 +195,8 @@ func ExampleFormat() {
 }
 
 // TestChecksumDetectsEveryBitFlip flips each bit of a sealed page in turn
-// and requires Verify to reject every image, then flips each bit of one
-// WAL frame's payload and requires ScanRecords to stop at that frame,
-// keeping the records before it as the clean prefix.
+// and requires Verify to reject every image. The WAL frame checksum has its
+// own test (wal.TestFrameChecksumDetectsEveryPayloadBitFlip).
 func TestChecksumDetectsEveryBitFlip(t *testing.T) {
 	buf := make([]byte, PageSize)
 	p := Format(buf, 11)
@@ -218,34 +216,6 @@ func TestChecksumDetectsEveryBitFlip(t *testing.T) {
 			t.Fatalf("page with bit %d flipped verifies", bit)
 		}
 		buf[bit/8] ^= 1 << (bit % 8)
-	}
-
-	var sink bytes.Buffer
-	l := wal.New(wal.Options{Policy: wal.SyncNone, W: &sink})
-	payloads := [][]byte{
-		wal.AppendUpdate(nil, wal.UpdateRec{TxnID: 1, PageID: 11, Slot: 0, After: []byte("alpha")}),
-		wal.AppendUpdate(nil, wal.UpdateRec{TxnID: 1, PageID: 11, Slot: 1, Before: []byte("b"), After: []byte("after")}),
-		wal.EncodeCommit(1),
-	}
-	for _, pl := range payloads {
-		if _, err := l.AppendRecordAsync(pl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	img := sink.Bytes()
-	start := wal.PayloadHeaderSize + len(payloads[0]) // the second frame
-	for bit := 0; bit < len(payloads[1])*8; bit++ {
-		at := start + wal.PayloadHeaderSize + bit/8
-		img[at] ^= 1 << (bit % 8)
-		recs, clean, err := wal.ScanRecords(img)
-		if !errors.Is(err, wal.ErrTorn) || len(recs) != 1 || clean != start {
-			t.Fatalf("payload bit %d flipped: %d records, clean prefix %d, err %v; want 1, %d, ErrTorn",
-				bit, len(recs), clean, err, start)
-		}
-		img[at] ^= 1 << (bit % 8)
-	}
-	if recs, _, err := wal.ScanRecords(img); err != nil || len(recs) != len(payloads) {
-		t.Fatalf("restored log: %d records, %v", len(recs), err)
 	}
 }
 

@@ -156,7 +156,7 @@ func Recover(dev Device, records []wal.Record) (*RecoveryResult, error) {
 				res.TornPages = append(res.TornPages, id)
 				Format(b, id)
 			}
-		case errors.Is(err, ErrPageMissing):
+		case isMissing(err):
 			Format(b, id)
 		default:
 			return Page{}, err
@@ -259,3 +259,5 @@ func Recover(dev Device, records []wal.Record) (*RecoveryResult, error) {
 	sort.Slice(res.TornPages, func(i, j int) bool { return res.TornPages[i] < res.TornPages[j] })
 	return res, nil
 }
+
+func isMissing(err error) bool { return errors.Is(err, ErrPageMissing) }

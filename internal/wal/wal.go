@@ -216,11 +216,11 @@ func (l *Log) Policy() SyncPolicy {
 // tail from a valid record. A log of an older format fails on its magic.
 const recordMagic = 0xB8 // 0xB7 while the frame checksum was FNV-32a
 
-// castagnoli selects the CRC-32C polynomial, which hash/crc32 computes with
-// the CPU's CRC instructions where it has them.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// Castagnoli is the CRC-32C table of frame and heap page checksums, which
+// hash/crc32 computes with the CPU's CRC instructions where it has them.
+var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// maxSpare caps the spare's capacity, so no large batch stays resident.
+// maxSpare caps the spare: it keeps commit batches' buffers, not bulk loads'.
 const maxSpare = 64 << 10
 
 // PayloadHeaderSize is the encoded size of one frame header: magic (1) +
@@ -301,7 +301,7 @@ func (l *Log) appendRecord(payload []byte, announced bool) error {
 	if l == nil {
 		return nil
 	}
-	sum := crc32.Checksum(payload, castagnoli)
+	sum := crc32.Checksum(payload, Castagnoli)
 	l.mu.Lock()
 	if announced {
 		l.outside.Add(-1)
@@ -358,18 +358,17 @@ func (l *Log) AppendRecordAsync(payload []byte) (uint64, error) {
 	if l == nil {
 		return 0, nil
 	}
-	sum := crc32.Checksum(payload, castagnoli)
+	sum := crc32.Checksum(payload, Castagnoli)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.enqueueLocked(payload, sum)
 }
 
-// enqueueLocked frames payload, whose CRC-32C is sum, under the next
-// sequence number and hands it to the policy: SyncNone writes it through
-// from l.buf, and the write's verdict is the caller's; SyncAsync
-// and SyncGroup append it to the open generation's buffer. Numbering under
-// l.mu keeps buffer order and sequence order equal (the checksum covers only
-// the payload, so it is computed before the lock). Callers hold l.mu.
+// enqueueLocked frames payload, whose CRC-32C is sum, under the next sequence
+// number: SyncNone writes the frame through from l.buf, and the write's
+// verdict is the caller's; SyncAsync and SyncGroup append it to the open
+// generation's buffer. Numbering under l.mu keeps buffer and sequence order
+// equal (the checksum covers only the payload). Callers hold l.mu.
 func (l *Log) enqueueLocked(payload []byte, sum uint32) (uint64, error) {
 	if l.failErr != nil {
 		return 0, l.failErr
@@ -407,11 +406,12 @@ func (l *Log) Flush() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
 	if l.policy == SyncNone {
+		l.mu.Lock()
 		defer l.mu.Unlock()
 		return l.failErr // SyncNone writes through: nothing is buffered
 	}
+	l.mu.Lock()
 	g := l.gen
 	l.sealLocked(sealFlush)
 	l.mu.Unlock()
@@ -711,7 +711,7 @@ func ScanRecords(data []byte) ([]Record, int, error) {
 			return recs, off, ErrTorn
 		}
 		payload := data[off+PayloadHeaderSize : off+PayloadHeaderSize+plen]
-		if crc32.Checksum(payload, castagnoli) != sum {
+		if crc32.Checksum(payload, Castagnoli) != sum {
 			return recs, off, ErrTorn
 		}
 		if seq != lastSeq+1 {

@@ -333,6 +333,40 @@ func TestReadRecordsTornTail(t *testing.T) {
 	}
 }
 
+// TestFrameChecksumDetectsEveryPayloadBitFlip flips each bit of a middle
+// frame's payload in turn and requires ScanRecords to stop at that frame with
+// ErrTorn, keeping the record before it as the clean prefix.
+func TestFrameChecksumDetectsEveryPayloadBitFlip(t *testing.T) {
+	var sink bytes.Buffer
+	l := New(Options{Policy: SyncNone, W: &sink})
+	payloads := [][]byte{
+		AppendUpdate(nil, UpdateRec{TxnID: 1, PageID: 11, Slot: 0, After: []byte("alpha")}),
+		AppendUpdate(nil, UpdateRec{TxnID: 1, PageID: 11, Slot: 1, Before: []byte("b"), After: []byte("after")}),
+		EncodeCommit(1),
+	}
+	for _, pl := range payloads {
+		if _, err := l.AppendRecordAsync(pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	img := sink.Bytes()
+	start := PayloadHeaderSize + len(payloads[0]) // the second frame
+	for bit := 0; bit < len(payloads[1])*8; bit++ {
+		at := start + PayloadHeaderSize + bit/8
+		img[at] ^= 1 << (bit % 8)
+		recs, clean, err := ScanRecords(img)
+		if !errors.Is(err, ErrTorn) || len(recs) != 1 || clean != start {
+			t.Fatalf("payload bit %d flipped: %d records, clean prefix %d, err %v; want 1, %d, ErrTorn",
+				bit, len(recs), clean, err, start)
+		}
+		img[at] ^= 1 << (bit % 8)
+	}
+	if recs, _, err := ScanRecords(img); err != nil || len(recs) != len(payloads) {
+		t.Fatalf("restored log: %d records, %v", len(recs), err)
+	}
+}
+
 // TestReadRecordsRejectsCorruption checks that bit rot inside a record body
 // is caught by the checksum rather than silently replayed.
 func TestReadRecordsRejectsCorruption(t *testing.T) {
@@ -544,34 +578,49 @@ func TestOnlyCommitRecordsUseAnnouncements(t *testing.T) {
 }
 
 // TestWALAppendNoAlloc checks that framing costs no allocation once the log
-// is warm: a record is encoded in place into the open generation's buffer,
-// which a flush hands back for reuse, and SyncNone frames into the same
-// log-owned buffer before writing through.
+// is warm. SyncNone frames each record into one log-owned buffer and writes
+// it through. Under SyncGroup a record is encoded in place into the open
+// generation's buffer, and a flush hands the written buffer back as the
+// spare the next seal opens with, so a whole cycle of appends and a flush
+// allocates no more than a flush of an empty generation.
 func TestWALAppendNoAlloc(t *testing.T) {
 	payload := AppendUpdate(nil, UpdateRec{TxnID: 7, PageID: 3, Slot: 1,
 		Before: bytes.Repeat([]byte{'b'}, 700), After: bytes.Repeat([]byte{'a'}, 700)})
-	const batch = 64
-	for _, policy := range []SyncPolicy{SyncNone, SyncGroup} {
-		l := New(Options{Policy: policy, W: io.Discard, GroupInterval: time.Hour})
-		// Two flushes: the generation buffers alternate through the spare.
-		for round := 0; round < 2; round++ {
-			for i := 0; i < batch; i++ {
-				if _, err := l.AppendRecordAsync(payload); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := l.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(batch-1, func() {
+	// Half the spare's cap, so append's growth stays under it.
+	batch := maxSpare / 2 / (PayloadHeaderSize + len(payload))
+	appendBatch := func(l *Log) {
+		for i := 0; i < batch; i++ {
 			if _, err := l.AppendRecordAsync(payload); err != nil {
 				t.Fatal(err)
 			}
-		})
-		l.Close()
-		if allocs != 0 {
-			t.Errorf("%s: AppendRecordAsync allocates %.0f per record, want 0", policy, allocs)
 		}
+	}
+	flush := func(l *Log) {
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	none := New(Options{Policy: SyncNone, W: io.Discard})
+	defer none.Close()
+	appendBatch(none)
+	if allocs := testing.AllocsPerRun(batch, func() { appendBatch(none) }); allocs != 0 {
+		t.Errorf("SyncNone: %d appends allocate %.0f, want 0", batch, allocs)
+	}
+
+	group := New(Options{Policy: SyncGroup, W: io.Discard, GroupInterval: time.Hour})
+	defer group.Close()
+	for round := 0; round < 2; round++ {
+		appendBatch(group)
+		flush(group)
+	}
+	if cap(group.buf) == 0 {
+		t.Fatal("SyncGroup: the seal after a written generation opened an empty buffer")
+	}
+	empty := testing.AllocsPerRun(5, func() { flush(group) })
+	cycle := testing.AllocsPerRun(5, func() { appendBatch(group); flush(group) })
+	if cycle != empty {
+		t.Errorf("SyncGroup: %d appends and a flush allocate %.0f, a flush alone %.0f; want equal",
+			batch, cycle, empty)
 	}
 }
