@@ -46,7 +46,7 @@ const PageSize = 4096
 const PageCapacity = PageSize - headerSize
 
 const (
-	pageMagic  = 0x50C5 // 0x50C4 while the checksum was FNV-32a
+	pageMagic  = 0x50C5 // changes with the page format; an older page fails Verify
 	headerSize = 24
 	slotSize   = 4
 

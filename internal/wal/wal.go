@@ -214,7 +214,7 @@ func (l *Log) Policy() SyncPolicy {
 
 // recordMagic guards every frame so that replay can tell a torn or corrupt
 // tail from a valid record. A log of an older format fails on its magic.
-const recordMagic = 0xB8 // 0xB7 while the frame checksum was FNV-32a
+const recordMagic = 0xB8
 
 // Castagnoli is the CRC-32C table of frame and heap page checksums, which
 // hash/crc32 computes with the CPU's CRC instructions where it has them.
